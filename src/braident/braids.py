@@ -15,14 +15,19 @@ renderer always emits ASCII.  Powers expand eagerly, so parsed words are stored 
 
 Words map onto the symmetric group by sending every letter, regardless of
 sign, to the adjacent transposition swapping its index with the next point.
-Permutations compose left-operand-first: ``compose_permutations(p, q)`` sends
-x to q(p(x)).  Cycle counting of that image gives the number of components of
-the word's closure.
+The image is a plain tuple: entry x-1 is the end position of the strand that
+starts at position x, with letters acting in word order.  Cycle counting of
+that image gives the number of components of the word's closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# Parser limits: the group depth stays well below Python's recursion limit, and
+# the letter cap stops a huge power from allocating before it is rejected.
+MAX_NESTING_DEPTH = 200
+MAX_WORD_LETTERS = 10**6
 
 
 class WordSyntaxError(ValueError):
@@ -135,9 +140,10 @@ def _repeat(letters: list[GeneratorLetter], k: int) -> list[GeneratorLetter]:
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse braid word text into a flat BraidWord over the given strand count.
 
-    Raises WordSyntaxError with the character position for malformed text and
-    for generator indices that exceed strands - 1.  The empty string parses to
-    the identity word.
+    Raises WordSyntaxError with the character position for malformed text,
+    for generator indices that exceed strands - 1, for groups nested deeper
+    than MAX_NESTING_DEPTH and for words that expand past MAX_WORD_LETTERS
+    letters.  The empty string parses to the identity word.
     """
     if strands < 2:
         raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
@@ -159,6 +165,8 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
                 atom = [GeneratorLetter(value, 1)]
                 pos += 1
             elif kind == "open":
+                if depth >= MAX_NESTING_DEPTH:
+                    raise WordSyntaxError(f"groups nested deeper than {MAX_NESTING_DEPTH}", at)
                 pos += 1
                 atom = parse_sequence(depth + 1)
                 if pos >= len(tokens) or tokens[pos][0] != "close":
@@ -170,10 +178,13 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
                 return letters
             else:
                 raise WordSyntaxError("power without a preceding generator or group", at)
+            k = 1
             if pos < len(tokens) and tokens[pos][0] == "pow":
-                atom = _repeat(atom, tokens[pos][1])
+                _, k, at = tokens[pos]
                 pos += 1
-            letters.extend(atom)
+            if len(letters) + len(atom) * abs(k) > MAX_WORD_LETTERS:
+                raise WordSyntaxError(f"word expands past {MAX_WORD_LETTERS} letters", at)
+            letters.extend(_repeat(atom, k))
         return letters
 
     return BraidWord(strands, tuple(parse_sequence(0)))
@@ -219,75 +230,32 @@ def exponent_sum(word: BraidWord) -> int:
     return sum(letter.sign for letter in word.letters)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {1..n}; mapping[i-1] is the image of point i."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        if sorted(self.mapping) != list(range(1, len(self.mapping) + 1)):
-            raise ValueError(f"not a bijection of 1..{len(self.mapping)}: {self.mapping}")
-
-    @property
-    def size(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for x, y in enumerate(self.mapping, start=1):
-            inv[y - 1] = x
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.mapping, start=1))
-
-
-def compose_permutations(p: Permutation, q: Permutation) -> Permutation:
-    """Composition with the left operand acting first: result(x) = q(p(x))."""
-    if p.size != q.size:
-        raise ValueError(f"size mismatch: {p.size} vs {q.size}")
-    return Permutation(tuple(q(p(x)) for x in range(1, p.size + 1)))
-
-
-def adjacent_transposition(n: int, i: int) -> Permutation:
-    """The transposition of points i and i+1 in S_n."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"transposition index {i} out of range for n={n}")
-    mapping = list(range(1, n + 1))
-    mapping[i - 1], mapping[i] = mapping[i], mapping[i - 1]
-    return Permutation(tuple(mapping))
-
-
-def permutation_image(word: BraidWord) -> Permutation:
+def permutation_image(word: BraidWord) -> tuple[int, ...]:
     """Image in S_n: both s_i and s_i^-1 map to the transposition (i, i+1).
 
-    Letters compose in word order under the left-operand-first convention of
-    compose_permutations.
+    Entry x-1 of the result is the end position of the strand that starts at
+    position x.  Each letter swaps the strands currently at positions i and
+    i+1, so letters act in word order.
     """
-    image = Permutation.identity(word.strands)
+    strand_at = list(range(word.strands))  # 0-based start index of the strand at each position
     for letter in word.letters:
-        image = compose_permutations(image, adjacent_transposition(word.strands, letter.index))
-    return image
+        i = letter.index
+        strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
+    image = [0] * word.strands
+    for position, start in enumerate(strand_at, start=1):
+        image[start] = position
+    return tuple(image)
 
 
-def cycle_count(p: Permutation) -> int:
-    """Number of disjoint cycles, fixed points included."""
-    seen = [False] * p.size
+def cycle_count(image: tuple[int, ...]) -> int:
+    """Number of disjoint cycles of a permutation image, fixed points included."""
+    seen = [False] * len(image)
     count = 0
-    for start in range(1, p.size + 1):
+    for start in range(1, len(image) + 1):
         if not seen[start - 1]:
             count += 1
             x = start
             while not seen[x - 1]:
                 seen[x - 1] = True
-                x = p(x)
+                x = image[x - 1]
     return count

@@ -21,14 +21,6 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, (A(x)B)[i*rB+k, j*cB+l] = A[i,j]*B[k,l]."""
     return np.kron(_as_matrix(a), _as_matrix(b))

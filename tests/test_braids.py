@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 from braident.braids import (
     BraidWord,
     GeneratorLetter,
-    Permutation,
     WordSyntaxError,
-    adjacent_transposition,
-    compose_permutations,
     concat,
     cycle_count,
     exponent_sum,
@@ -100,6 +97,8 @@ class TestParser:
             ("s1 x2", 3),
             ("s1 ^ 2", 3),
             ("s1 )", 3),
+            pytest.param("(" * 3000 + "s1" + ")" * 3000, 200, id="nested-3000-deep"),
+            ("s1^99999999999", 2),
         ],
     )
     def test_syntax_error_positions(self, text, position):
@@ -181,28 +180,8 @@ class TestWordAlgebra:
 
 
 class TestPermutations:
-    def test_worked_composition_example(self):
-        # left operand acts first: result(x) = q(p(x))
-        p = Permutation((3, 1, 2, 4))
-        q = Permutation((1, 3, 2, 4))
-        assert compose_permutations(p, q) == Permutation((2, 1, 3, 4))
-
-    def test_compose_identity_and_inverse(self):
-        p = Permutation((3, 1, 2, 4))
-        assert compose_permutations(p, Permutation.identity(4)) == p
-        assert compose_permutations(p, p.inverse()) == Permutation.identity(4)
-
-    def test_compose_size_mismatch(self):
-        with pytest.raises(ValueError, match="size mismatch"):
-            compose_permutations(Permutation.identity(3), Permutation.identity(4))
-
-    def test_not_a_bijection_rejected(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 3))
-
     def test_image_of_single_letter(self):
-        image = permutation_image(parse_braid_word("s1", 3))
-        assert image == Permutation((2, 1, 3))
+        assert permutation_image(parse_braid_word("s1", 3)) == (2, 1, 3)
 
     def test_image_ignores_letter_sign(self):
         assert permutation_image(parse_braid_word("s1", 3)) == permutation_image(
@@ -210,40 +189,38 @@ class TestPermutations:
         )
 
     def test_nus_image_is_identity(self):
-        assert permutation_image(parse_braid_word(NUS_TEXT, 3)).is_identity()
+        assert permutation_image(parse_braid_word(NUS_TEXT, 3)) == (1, 2, 3)
 
     def test_squared_generator_image_is_identity(self):
-        assert permutation_image(parse_braid_word("s1 s1", 2)).is_identity()
+        assert permutation_image(parse_braid_word("s1 s1", 2)) == (1, 2)
 
     @given(st.integers(min_value=2, max_value=5).flatmap(lambda n: st.tuples(words(n), words(n))))
     def test_image_homomorphism(self, pair):
+        # the left word acts first: the image of w1 w2 sends x to q(p(x))
         w1, w2 = pair
-        assert permutation_image(concat(w1, w2)) == compose_permutations(
-            permutation_image(w1), permutation_image(w2)
-        )
+        p, q = permutation_image(w1), permutation_image(w2)
+        assert permutation_image(concat(w1, w2)) == tuple(q[p[x] - 1] for x in range(len(p)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_transposition_relations_exhaustive(self, n):
+        def image(text):
+            return permutation_image(parse_braid_word(text, n))
+
+        identity = tuple(range(1, n + 1))
         for i in range(1, n):
-            s_i = adjacent_transposition(n, i)
-            assert compose_permutations(s_i, s_i) == Permutation.identity(n)
+            assert image(f"s{i} s{i}") == identity
         for i in range(1, n - 1):
-            s_i = adjacent_transposition(n, i)
-            s_j = adjacent_transposition(n, i + 1)
-            lhs = compose_permutations(compose_permutations(s_i, s_j), s_i)
-            rhs = compose_permutations(compose_permutations(s_j, s_i), s_j)
-            assert lhs == rhs
+            assert image(f"s{i} s{i + 1} s{i}") == image(f"s{i + 1} s{i} s{i + 1}")
 
     def test_far_commutation_exhaustive(self):
         for n in (4, 5):
             for i in range(1, n):
                 for j in range(i + 2, n):
-                    s_i = adjacent_transposition(n, i)
-                    s_j = adjacent_transposition(n, j)
-                    assert compose_permutations(s_i, s_j) == compose_permutations(s_j, s_i)
+                    lhs = permutation_image(parse_braid_word(f"s{i} s{j}", n))
+                    assert lhs == permutation_image(parse_braid_word(f"s{j} s{i}", n))
 
     def test_cycle_count(self):
-        assert cycle_count(Permutation.identity(4)) == 4
+        assert cycle_count((1, 2, 3, 4)) == 4
         assert cycle_count(permutation_image(parse_braid_word("s1 s1", 2))) == 2
         assert cycle_count(permutation_image(parse_braid_word(BORROMEAN_TEXT, 3))) == 3
-        assert cycle_count(Permutation((2, 1, 3))) == 2
+        assert cycle_count((2, 1, 3)) == 2

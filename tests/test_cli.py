@@ -84,6 +84,13 @@ class TestEval:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_exits_2(self, capsys, theta):
+        code = main(["eval", "--rep", "b2", "--word", "s1", f"--theta={theta}"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestEntangle:
     def test_jones_word_builds_ghz(self, capsys):

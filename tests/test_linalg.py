@@ -10,7 +10,6 @@ from braident.linalg import (
     hermitian_eigenvalues,
     is_unitary,
     kron,
-    matmul,
     matrix_from_json,
     matrix_to_json,
 )
@@ -25,20 +24,16 @@ LOCAL_FACTOR = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
 class TestMatmul:
     def test_identity(self):
         a = np.arange(16, dtype=complex).reshape(4, 4)
-        assert np.allclose(matmul(I4, a), a)
+        assert np.allclose(I4 @ a, a)
 
     def test_bell_generator_squares_to_identity_at_zero_angle(self):
         m = b2_generator(0.0)
-        assert np.allclose(matmul(m, m), I4, atol=1e-14)
+        assert np.allclose(m @ m, I4, atol=1e-14)
 
     def test_temperley_lieb_square(self):
         t1, t2 = temperley_lieb_generators()
-        assert np.allclose(matmul(t1, t1), np.sqrt(2) * t1, atol=1e-14)
-        assert np.allclose(matmul(t2, t2), np.sqrt(2) * t2, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+        assert np.allclose(t1 @ t1, np.sqrt(2) * t1, atol=1e-14)
+        assert np.allclose(t2 @ t2, np.sqrt(2) * t2, atol=1e-14)
 
 
 class TestKron:
@@ -61,8 +56,8 @@ class TestKron:
         rng = np.random.default_rng(11)
         for _ in range(10):
             a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-            lhs = matmul(kron(a, b), kron(c, d))
-            rhs = kron(matmul(a, c), matmul(b, d))
+            lhs = kron(a, b) @ kron(c, d)
+            rhs = kron(a @ c, b @ d)
             assert np.allclose(lhs, rhs, atol=1e-12)
             assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
 
@@ -75,7 +70,7 @@ class TestDagger:
 
     def test_unitary_inverse(self):
         m = b2_generator(0.7)
-        assert np.allclose(matmul(m, dagger(m)), I4, atol=1e-14)
+        assert np.allclose(m @ dagger(m), I4, atol=1e-14)
 
 
 class TestIsUnitary:
@@ -96,7 +91,7 @@ class TestIsUnitary:
             u = haar_unitary(4, rng)
             w = haar_unitary(4, rng)
             assert is_unitary(u)
-            assert is_unitary(matmul(u, w))
+            assert is_unitary(u @ w)
             assert is_unitary(dagger(u))
 
 
