@@ -24,10 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Parser limits: the group depth stays well below Python's recursion limit, and
-# the letter cap stops a huge power from allocating before it is rejected.
+# Parser limits: the group depth stays well below Python's recursion limit, the
+# letter cap stops a huge power from allocating before it is rejected, and the
+# digit cap keeps int() off digit runs far longer than any usable index or
+# exponent (CPython refuses to convert more than 4300 digits).
 MAX_NESTING_DEPTH = 200
 MAX_WORD_LETTERS = 10**6
+MAX_NUMBER_DIGITS = 100
 
 
 class WordSyntaxError(ValueError):
@@ -91,6 +94,14 @@ def identity_word(strands: int) -> BraidWord:
     return BraidWord(strands, ())
 
 
+def _long_decimal(digits: str, at: int) -> int:
+    """A digit run longer than MAX_NUMBER_DIGITS, accepted if leading zeros are the excess."""
+    significant = digits.lstrip("0")
+    if len(significant) > MAX_NUMBER_DIGITS:
+        raise WordSyntaxError(f"number longer than {MAX_NUMBER_DIGITS} digits", at)
+    return int(significant or "0")
+
+
 def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
     tokens: list[tuple[str, int | None, int]] = []
     i, n = 0, len(text)
@@ -100,11 +111,15 @@ def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
             i += 1
         elif ch in ("s", "σ"):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise WordSyntaxError("generator letter needs an integer index", i)
-            tokens.append(("gen", int(text[i + 1 : j]), i))
+            if j - i - 1 <= MAX_NUMBER_DIGITS:
+                index = int(text[i + 1 : j])
+            else:
+                index = _long_decimal(text[i + 1 : j], i)
+            tokens.append(("gen", index, i))
             i = j
         elif ch == "(":
             tokens.append(("open", None, i))
@@ -117,11 +132,15 @@ def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
             if j < n and text[j] in "+-":
                 j += 1
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and text[k].isdecimal():
                 k += 1
             if k == j:
                 raise WordSyntaxError("power needs an integer exponent", i)
-            tokens.append(("pow", int(text[i + 1 : k]), i))
+            if k - j <= MAX_NUMBER_DIGITS:
+                exponent = int(text[i + 1 : k])
+            else:
+                exponent = _long_decimal(text[j:k], i) * (-1 if text[i + 1] == "-" else 1)
+            tokens.append(("pow", exponent, i))
             i = k
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", i)

@@ -520,8 +520,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_theta(argv: list[str]) -> list[str]:
+    """Join "--theta -1e-3" into "--theta=-1e-3".
+
+    argparse takes a token that starts with "-" for an option unless it reads
+    like -1 or -0.5, so a negative angle in exponent form would leave --theta
+    without its value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--theta" and token.startswith("-") and _is_number(token):
+            out[-1] = f"--theta={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_bind_theta(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

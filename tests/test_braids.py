@@ -99,12 +99,20 @@ class TestParser:
             ("s1 )", 3),
             pytest.param("(" * 3000 + "s1" + ")" * 3000, 200, id="nested-3000-deep"),
             ("s1^99999999999", 2),
+            pytest.param("s1^" + "9" * 5000, 2, id="exponent-5000-digits"),
+            pytest.param("s" + "1" * 5000, 0, id="index-5000-digits"),
+            pytest.param("s\u00b2", 0, id="superscript-index"),
+            pytest.param("s1^\u00b2", 2, id="superscript-exponent"),
         ],
     )
     def test_syntax_error_positions(self, text, position):
         with pytest.raises(WordSyntaxError) as err:
             parse_braid_word(text, 3)
         assert err.value.position == position
+
+    def test_leading_zeros_do_not_count_toward_digit_cap(self):
+        zeros = "0" * 5000
+        assert parse_braid_word(f"s{zeros}1^-{zeros}2", 3) == parse_braid_word("s1^-2", 3)
 
     def test_strands_below_two_rejected(self):
         with pytest.raises(ValueError):

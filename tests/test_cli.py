@@ -84,6 +84,16 @@ class TestEval:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_exponent_form_theta_after_a_space(self, capsys):
+        code, doc = run_json(
+            capsys, ["eval", "--rep", "b2", "--word", "s1", "--theta", "-1e-3", "--format", "json"]
+        )
+        assert code == 0
+        assert doc["representation"]["parameters"]["theta"] == -1e-3
+        assert run_json(
+            capsys, ["eval", "--rep", "b2", "--word", "s1", "--theta=-1e-3", "--format", "json"]
+        ) == (code, doc)
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_theta_exits_2(self, capsys, theta):
         code = main(["eval", "--rep", "b2", "--word", "s1", f"--theta={theta}"])

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -11,7 +12,14 @@ from braident.braids import (
     inverse,
     parse_braid_word,
 )
-from braident.linalg import dagger, equal_up_to_phase, frobenius_norm, is_unitary, kron
+from braident.linalg import (
+    dagger,
+    equal_up_to_phase,
+    frobenius_norm,
+    haar_unitary,
+    is_unitary,
+    kron,
+)
 from braident.reps import (
     JONES_A,
     b2_rep,
@@ -186,6 +194,69 @@ class TestGenericRep:
             generic_rep(I4, 1)
         with pytest.raises(ValueError, match="at most 8"):
             generic_rep(I4, 9)
+
+
+def dense_images(u, strands):
+    """sigma_i = I(x)U(x)I on the whole register, built here independently of reps."""
+    return [
+        np.kron(np.kron(np.eye(2 ** (i - 1)), u), np.eye(2 ** (strands - i - 1)))
+        for i in range(1, strands)
+    ]
+
+
+def written_order_product(images, word, dim):
+    factors = [
+        images[l.index - 1] if l.sign > 0 else images[l.index - 1].conj().T for l in word.letters
+    ]
+    return functools.reduce(np.matmul, factors, np.eye(dim, dtype=complex))
+
+
+class TestBlockEvaluation:
+    """Generators kept as local blocks agree with their dense register images."""
+
+    @pytest.mark.parametrize("strands", [4, 5, 6, 7, 8])
+    def test_generic_evaluate_matches_dense_product(self, strands):
+        rng = np.random.default_rng(200 + strands)
+        u = haar_unitary(4, rng)
+        rep = generic_rep(u, strands)
+        images = dense_images(u, strands)
+        for _ in range(3):
+            word = random_word(rng, strands, max_len=30)
+            expected = written_order_product(images, word, 2**strands)
+            assert np.max(np.abs(evaluate(rep, word) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("strands", [4, 5, 6, 7, 8])
+    def test_generic_relation_residuals_match_dense(self, strands):
+        u = haar_unitary(4, np.random.default_rng(300 + strands))
+        report = generic_rep(u, strands).relation_report
+        images = dense_images(u, strands)
+        for i, j, r in report.far_commutation_residuals:
+            a, b = images[i - 1], images[j - 1]
+            assert np.linalg.norm(a @ b - b @ a) == 0.0
+            assert r == 0.0
+        assert len(report.braiding_residuals) == strands - 2
+        for i, r in report.braiding_residuals:
+            a, b = images[i - 1], images[i]
+            dense = np.linalg.norm(a @ b @ a - b @ a @ b)
+            assert abs(r - dense) <= 1e-12 * dense
+
+    def test_named_reps_evaluate_bitwise_as_dense_product(self):
+        rng = np.random.default_rng(400)
+        for rep in (b2_rep(1.0), ge_rep(0.37), jones_rep()):
+            for _ in range(40):
+                word = random_word(rng, rep.strands, max_len=40)
+                expected = written_order_product(rep.generator_images, word, rep.dimension)
+                assert evaluate(rep, word).tobytes() == expected.tobytes()
+
+    def test_unitarity_is_checked_at_register_scale(self):
+        # ||U U^dag - I||_F = 2e-11 passes on its own, but the image on
+        # 8 strands repeats that defect 64 times: sqrt(64) * 2e-11 > 1e-10
+        u = np.sqrt(1 + 1e-11) * I4
+        assert is_unitary(u, 1e-10)
+        generic_rep(u, 2)
+        assert not is_unitary(dense_images(u, 8)[0], 1e-10)
+        with pytest.raises(ValueError, match="generator 1 is not unitary"):
+            generic_rep(u, 8)
 
 
 class TestEvaluate:
