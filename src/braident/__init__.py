@@ -3,134 +3,65 @@
 Parse braid words, evaluate them through two-strand and three-strand unitary
 representations, verify the defining relations and closure conditions
 numerically, and quantify the entanglement of the states the words generate.
+Names not exported here stay importable from their submodules.
 """
 
-from .braids import (
-    BraidWord,
-    GeneratorLetter,
-    WordSyntaxError,
-    concat,
-    cycle_count,
-    exponent_sum,
-    free_reduce,
-    identity_word,
-    inverse,
-    parse_braid_word,
-    permutation_image,
-    render_braid_word,
-)
+from .braids import BraidWord, WordSyntaxError, concat, parse_braid_word, permutation_image
 from .entanglement import (
-    ProfileEntry,
-    ResidualProfile,
     concurrence_mixed2,
-    concurrence_pure2,
     residual_profile,
     schmidt_coefficients,
     three_tangle,
     vn_entropy,
 )
-from .linalg import (
-    dagger,
-    equal_up_to_phase,
-    frobenius_norm,
-    haar_unitary,
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
-    is_unitary,
-    kron,
-)
-from .links import ClosureSummary, render_braid_ascii, summarize_closure
+from .links import summarize_closure
 from .reps import (
-    ClosureResult,
-    JONES_A,
-    RelationReport,
     Representation,
-    b2_generator,
     b2_rep,
     closure_check,
     evaluate,
     ge_rep,
     generic_rep,
     jones_rep,
-    temperley_lieb_generators,
-    verify_relations,
-    yang_baxter_unitary,
 )
 from .states import (
     DensityMatrix,
-    ImpossibleOutcomeError,
-    MeasurementOutcome,
     PureState,
     apply,
     apply_local,
     basis_state,
     density,
-    measure_qubit,
     named_state,
     partial_trace,
-    state_from_json,
-    state_to_json,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BraidWord",
-    "ClosureResult",
-    "ClosureSummary",
     "DensityMatrix",
-    "GeneratorLetter",
-    "ImpossibleOutcomeError",
-    "JONES_A",
-    "MeasurementOutcome",
-    "ProfileEntry",
     "PureState",
-    "RelationReport",
     "Representation",
-    "ResidualProfile",
     "WordSyntaxError",
     "apply",
     "apply_local",
-    "b2_generator",
     "b2_rep",
     "basis_state",
     "closure_check",
     "concat",
     "concurrence_mixed2",
-    "concurrence_pure2",
-    "cycle_count",
-    "dagger",
     "density",
-    "equal_up_to_phase",
     "evaluate",
-    "exponent_sum",
-    "free_reduce",
-    "frobenius_norm",
     "ge_rep",
     "generic_rep",
-    "haar_unitary",
-    "hermitian_eigensystem",
-    "hermitian_eigenvalues",
-    "identity_word",
-    "inverse",
-    "is_unitary",
     "jones_rep",
-    "kron",
-    "measure_qubit",
     "named_state",
     "parse_braid_word",
     "partial_trace",
     "permutation_image",
-    "render_braid_ascii",
-    "render_braid_word",
     "residual_profile",
     "schmidt_coefficients",
-    "state_from_json",
-    "state_to_json",
     "summarize_closure",
-    "temperley_lieb_generators",
     "three_tangle",
-    "verify_relations",
     "vn_entropy",
-    "yang_baxter_unitary",
 ]

@@ -17,6 +17,7 @@ stdout; complex numbers appear as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -31,13 +32,7 @@ from .entanglement import (
     three_tangle,
     vn_entropy,
 )
-from .linalg import (
-    complex_to_json,
-    haar_unitary,
-    is_unitary,
-    matrix_from_json,
-    matrix_to_json,
-)
+from .linalg import haar_unitary, is_unitary
 from .links import render_braid_ascii, summarize_closure
 from .reps import (
     DEFAULT_THETA,
@@ -57,29 +52,53 @@ from .states import (
     density,
     named_state,
     partial_trace,
-    state_from_json,
-    state_to_json,
 )
 
-REP_BUILDERS = {"b2": b2_rep, "ge": ge_rep, "jones": jones_rep}
+REP_BUILDERS = {"b2": b2_rep, "ge": ge_rep, "jones": lambda theta: jones_rep()}
 
 LU_DEMO_FACTOR = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
 
 
-def _build_rep(name: str, theta: float) -> Representation:
-    if name == "jones":
-        return jones_rep()
-    return REP_BUILDERS[name](theta)
+def _jsonable(obj):
+    """``json.dumps`` hook: complex numbers become [re, im] pairs, arrays nested
+    lists, and dataclasses (states, profile entries) dicts of their fields."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _parameters_json(rep: Representation) -> dict:
-    out = {}
-    for key, value in rep.parameters.items():
-        if isinstance(value, complex):
-            out[key] = complex_to_json(value)
-        else:
-            out[key] = value
-    return out
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
+
+
+def complex_from_json(pair) -> complex:
+    re, im = pair
+    return complex(float(re), float(im))
+
+
+def matrix_from_json(rows) -> np.ndarray:
+    try:
+        return np.array([[complex_from_json(z) for z in row] for row in rows], dtype=complex)
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix document: {exc}") from exc
+
+
+def state_from_json(data) -> PureState:
+    """Decode {"qubits": n, "amplitudes": [[re, im], ...]}."""
+    try:
+        qubits = int(data["qubits"])
+        amps = np.array([complex_from_json(p) for p in data["amplitudes"]], dtype=complex)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed state document: {exc}") from exc
+    return PureState(qubits, amps)
 
 
 def _rep_json(rep: Representation) -> dict:
@@ -87,7 +106,7 @@ def _rep_json(rep: Representation) -> dict:
         "name": rep.name,
         "strands": rep.strands,
         "dimension": rep.dimension,
-        "parameters": _parameters_json(rep),
+        "parameters": rep.parameters,
     }
 
 
@@ -95,8 +114,7 @@ def _load_state(source: str | None, qubits: int) -> PureState:
     if source is None:
         return basis_state("0" * qubits)
     if source.startswith("@"):
-        with open(source[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(source[1:])
         if isinstance(data, dict) and "output_state" in data:
             data = data["output_state"]  # accept a previous entangle result
         state = state_from_json(data)
@@ -109,7 +127,7 @@ def _load_state(source: str | None, qubits: int) -> PureState:
 
 def _emit(doc: dict, args, text_lines) -> None:
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, default=_jsonable))
     else:
         for line in text_lines:
             print(line)
@@ -127,7 +145,7 @@ def _profile_lines(profile: ResidualProfile) -> list[str]:
 
 
 def cmd_relations(args) -> int:
-    rep = _build_rep(args.rep, args.theta)
+    rep = REP_BUILDERS[args.rep](args.theta)
     report = verify_relations(rep, args.tol)
     doc = {
         "command": "relations",
@@ -166,7 +184,7 @@ def _format_matrix_lines(matrix: np.ndarray) -> list[str]:
 
 
 def cmd_eval(args) -> int:
-    rep = _build_rep(args.rep, args.theta)
+    rep = REP_BUILDERS[args.rep](args.theta)
     word = parse_braid_word(args.word, rep.strands)
     matrix = evaluate(rep, word)
     closure = closure_check(rep, word, args.tol)
@@ -175,7 +193,7 @@ def cmd_eval(args) -> int:
         "representation": _rep_json(rep),
         "word": render_braid_word(word),
         "strands": word.strands,
-        "matrix": matrix_to_json(matrix),
+        "matrix": matrix,
         "closure": {"closes": closure.closes, "phase": closure.phase},
     }
     lines = [
@@ -208,7 +226,7 @@ def _named_overlaps(state: PureState, tol: float) -> tuple[dict, str | None]:
 
 
 def cmd_entangle(args) -> int:
-    rep = _build_rep(args.rep, args.theta)
+    rep = REP_BUILDERS[args.rep](args.theta)
     word = parse_braid_word(args.word, rep.strands)
     state_in = _load_state(args.state, rep.strands)
     state_out = apply(evaluate(rep, word), state_in)
@@ -219,7 +237,7 @@ def cmd_entangle(args) -> int:
     if state_out.qubits == 3:
         tangle = three_tangle(state_out)
         profile = residual_profile(state_out)
-        analysis = {"three_tangle": tangle, "residual_profile": profile.to_json()}
+        analysis = {"three_tangle": tangle, "residual_profile": profile.entries}
         analysis_lines = [f"three-tangle: {tangle:.6f}", "residual profile:"]
         analysis_lines += _profile_lines(profile)
     elif state_out.qubits == 2:
@@ -231,8 +249,8 @@ def cmd_entangle(args) -> int:
         "command": "entangle",
         "representation": _rep_json(rep),
         "word": render_braid_word(word),
-        "input_state": state_to_json(state_in),
-        "output_state": state_to_json(state_out),
+        "input_state": state_in,
+        "output_state": state_out,
         "named_overlaps": overlaps,
         "matched_state": matched,
         "analysis": analysis,
@@ -287,8 +305,7 @@ def _resolve_factors(args) -> tuple[list[np.ndarray], str]:
         rng = np.random.default_rng(args.seed)
         return [haar_unitary(2, rng) for _ in range(3)], f"random-unitary(seed={args.seed})"
     if choice.startswith("@"):
-        with open(choice[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(choice[1:])
         if not isinstance(data, list):
             raise ValueError("factor file must hold one 2x2 matrix or a list of three")
         if len(data) == 3:
@@ -383,7 +400,7 @@ def cmd_lu_check(args) -> int:
     doc = {
         "command": "lu-check",
         "factors": label,
-        "transformed_state": state_to_json(transformed),
+        "transformed_state": transformed,
         "checks": checks,
         "invariants": {
             "ghz": table_ghz,
@@ -392,8 +409,8 @@ def cmd_lu_check(args) -> int:
             "all_agree": invariants_agree,
         },
         "residual_profiles": {
-            "ghz": profile_ghz.to_json(),
-            ref_label: profile_ref.to_json(),
+            "ghz": profile_ghz.entries,
+            ref_label: profile_ref.entries,
         },
         "note": note,
         "passed": passed,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigensystem, hermitian_eigenvalues, kron
 from .states import (
     DensityMatrix,
     ImpossibleOutcomeError,
@@ -34,7 +33,7 @@ from .states import (
 _EIG_FLOOR = 1e-14
 
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_YY = kron(_PAULI_Y, _PAULI_Y)
+_YY = np.kron(_PAULI_Y, _PAULI_Y)
 
 
 @dataclass(frozen=True)
@@ -46,23 +45,12 @@ class ProfileEntry:
     probability: float
     concurrence: float | None
 
-    def to_json(self) -> dict:
-        return {
-            "qubit": self.qubit,
-            "outcome": self.outcome,
-            "probability": self.probability,
-            "concurrence": self.concurrence,
-        }
-
 
 @dataclass(frozen=True)
 class ResidualProfile:
     """All six (qubit, outcome) branches of a three-qubit state."""
 
     entries: tuple[ProfileEntry, ...]
-
-    def to_json(self) -> list[dict]:
-        return [e.to_json() for e in self.entries]
 
 
 def concurrence_pure2(state: PureState) -> float:
@@ -74,7 +62,9 @@ def concurrence_pure2(state: PureState) -> float:
 
 
 def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
-    values, vectors = hermitian_eigensystem(matrix)
+    values, vectors = np.linalg.eigh(matrix)
+    # descending order; ascending changes the 1e-16 noise in the JSON outputs
+    values, vectors = values[::-1], vectors[:, ::-1]
     return vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
 
 
@@ -98,7 +88,7 @@ def concurrence_mixed2(dm: DensityMatrix) -> float:
 
 def vn_entropy(dm: DensityMatrix) -> float:
     """Von Neumann entropy in bits; eigenvalues below 1e-14 count as exact zeros."""
-    values = hermitian_eigenvalues(dm.matrix)
+    values = np.linalg.eigvalsh(dm.matrix)
     values = values[values > _EIG_FLOOR]
     return float(-np.sum(values * np.log2(values)))
 

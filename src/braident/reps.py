@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .braids import BraidWord
-from .linalg import DEFAULT_TOL, equal_up_to_phase, is_unitary, kron
+from .linalg import DEFAULT_TOL, equal_up_to_phase, is_unitary
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
 
@@ -69,7 +69,7 @@ class RelationReport:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """A named assignment of unitary matrices to braid generators.
 
@@ -77,6 +77,7 @@ class Representation:
     unitary ``block`` on the run of qubits that starts at qubit ``first``
     and as the identity on every other qubit.  ``relation_report`` records
     the defining-relation residuals measured at construction time.
+    Representations compare by identity.
     """
 
     name: str
@@ -124,9 +125,9 @@ def _place(block: np.ndarray, first: int, qubits: int) -> np.ndarray:
     before = 2 ** (first - 1)
     after = 2**qubits // (before * len(block))
     if before > 1:
-        block = kron(np.eye(before, dtype=complex), block)
+        block = np.kron(np.eye(before, dtype=complex), block)
     if after > 1:
-        block = kron(block, np.eye(after, dtype=complex))
+        block = np.kron(block, np.eye(after, dtype=complex))
     return block
 
 
@@ -250,7 +251,7 @@ def ge_rep(theta: float = DEFAULT_THETA) -> Representation:
     """Three-strand product representation sigma_1 = U(x)I, sigma_2 = I(x)U."""
     _warn_if_rational_angle(theta)
     u = yang_baxter_unitary(theta)
-    blocks = [(kron(u, _I2), 1), (kron(_I2, u), 1)]
+    blocks = [(np.kron(u, _I2), 1), (np.kron(_I2, u), 1)]
     return _assemble("ge", 3, blocks, {"theta": theta}, DEFAULT_TOL, require_braiding=True)
 
 

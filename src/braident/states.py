@@ -14,13 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import (
-    complex_from_json,
-    complex_to_json,
-    hermitian_eigenvalues,
-    is_unitary,
-    kron,
-)
+from .linalg import is_unitary
 
 NORM_TOL = 1e-10
 DRIFT_TOL = 1e-8
@@ -73,7 +67,7 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > NORM_TOL or abs(np.trace(m).imag) > NORM_TOL:
             raise ValueError(f"density matrix trace is not 1: {np.trace(m)!r}")
-        if hermitian_eigenvalues(m, NORM_TOL)[-1] < -NORM_TOL:
+        if np.linalg.eigvalsh(m)[0] < -NORM_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", _freeze(m.copy()))
 
@@ -189,21 +183,4 @@ def apply_local(state: PureState, factors) -> PureState:
             raise ValueError(f"factor {i} has shape {f.shape}, expected (2, 2)")
         if not is_unitary(f, NORM_TOL):
             raise ValueError(f"factor {i} is not unitary within tolerance")
-    return apply(reduce(kron, factors), state)
-
-
-def state_to_json(state: PureState) -> dict:
-    """JSON form {"qubits": n, "amplitudes": [[re, im], ...]}."""
-    return {
-        "qubits": state.qubits,
-        "amplitudes": [complex_to_json(z) for z in state.amplitudes],
-    }
-
-
-def state_from_json(data: dict) -> PureState:
-    try:
-        qubits = int(data["qubits"])
-        amps = np.array([complex_from_json(p) for p in data["amplitudes"]], dtype=complex)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed state document: {exc}") from exc
-    return PureState(qubits, amps)
+    return apply(reduce(np.kron, factors), state)

@@ -30,7 +30,7 @@ from braident.entanglement import (
     three_tangle,
     vn_entropy,
 )
-from braident.linalg import frobenius_norm, haar_unitary
+from braident.linalg import haar_unitary
 from braident.reps import (
     b2_rep,
     closure_check,
@@ -105,7 +105,7 @@ def test_c2_b2_closure_and_bell_generation():
     details = []
     for theta in (0.0, 1.0, np.pi / 4):
         rep = quiet(b2_rep, theta)
-        err = frobenius_norm(
+        err = np.linalg.norm(
             evaluate(rep, word) - np.exp(2j * theta) * np.eye(4, dtype=complex)
         )
         generated = apply(rep.generator_images[0], basis_state("00"))
@@ -217,7 +217,7 @@ def test_c8_property_suites():
         rep = reps[trial % 3]
         w1 = random_word(rng, rep.strands)
         w2 = random_word(rng, rep.strands)
-        residual = frobenius_norm(
+        residual = np.linalg.norm(
             evaluate(rep, concat(w1, w2)) - evaluate(rep, w1) @ evaluate(rep, w2)
         )
         if residual > tol:
@@ -232,7 +232,7 @@ def test_c8_property_suites():
         suffix = random_word(rng, 3, max_len=6)
         w_a = concat(concat(prefix, site_a), suffix)
         w_b = concat(concat(prefix, site_b), suffix)
-        residual = frobenius_norm(evaluate(rep, w_a) - evaluate(rep, w_b))
+        residual = np.linalg.norm(evaluate(rep, w_a) - evaluate(rep, w_b))
         if residual > tol:
             failures.append(f"braiding rewrite trial {trial}: {residual:.2e}")
 

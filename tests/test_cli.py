@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braident.cli import main
 
@@ -10,6 +14,11 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def assert_one_error_line(err: str) -> None:
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestRelations:
@@ -246,6 +255,36 @@ class TestLuCheck:
         assert code == 2
 
 
+STATE_OPTION = ["entangle", "--rep", "ge", "--word", "", "--state"]
+FACTORS_OPTION = ["lu-check", "--factors"]
+KET0 = [[1.0, 0.0]] + [[0.0, 0.0]] * 7  # |000> as [re, im] pairs
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (STATE_OPTION, json.dumps({"amplitudes": KET0})),
+            (STATE_OPTION, json.dumps({"qubits": 3, "amplitudes": KET0[:-1] + [0.0]})),
+            (STATE_OPTION, json.dumps({"qubits": float("inf"), "amplitudes": KET0})),
+            (STATE_OPTION, DEEP),
+            (FACTORS_OPTION, "[1, 2, 3]"),
+            (FACTORS_OPTION, DEEP),
+        ],
+        ids=[
+            "state-missing-qubits", "state-non-pair-amplitude", "state-infinite-qubits",
+            "state-deep-nesting", "factors-of-numbers", "factors-deep-nesting",
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code = main(argv + [f"@{path}"])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+
 class TestLinksAndRender:
     def test_hopf_summary(self, capsys):
         code, doc = run_json(
@@ -309,3 +348,37 @@ class TestLinksAndRender:
         out = capsys.readouterr().out
         assert code == 0
         assert "braid on 2 strands: s1" in out
+
+
+# Word text: the grammar's tokens plus noise that must be rejected cleanly
+# (a Greek sigma is valid; superscript and Arabic-Indic digits, stray signs
+# and parentheses are not).  Short token lists keep powered words small.
+WORD_TOKENS = ["s", "\u03c3", "0", "1", "2", "3", "9", "^", "-", "+", "(", ")", " ",
+               "\u00b2", "\u0663", "x"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["eval", "entangle", "links", "render"]))
+    word = "".join(draw(st.lists(st.sampled_from(WORD_TOKENS), max_size=14)))
+    argv = [command, f"--word={word}", "--format", draw(st.sampled_from(["text", "json"]))]
+    if command in ("eval", "entangle"):
+        argv += ["--rep", draw(st.sampled_from(["b2", "ge", "jones"]))]
+    else:
+        argv += ["--strands", str(draw(st.integers(1, 9)))]
+    if command == "entangle" and draw(st.booleans()):
+        bits = draw(st.text(alphabet="01x-@", max_size=4))
+        argv.append(f"--state={bits}")
+    return argv
+
+
+class TestMainFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(cli_argv())
+    def test_exit_codes_and_error_lines(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert_one_error_line(err.getvalue())

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from braident.cli import _jsonable
 from braident.entanglement import (
     concurrence_mixed2,
     concurrence_pure2,
@@ -194,7 +197,8 @@ class TestResidualProfile:
                 assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_json_schema(self):
-        doc = residual_profile(basis_state("000")).to_json()
+        entries = residual_profile(basis_state("000")).entries
+        doc = json.loads(json.dumps(entries, default=_jsonable))
         assert doc[0] == {"qubit": 1, "outcome": 0, "probability": 1.0, "concurrence": 0.0}
         assert doc[1]["concurrence"] is None
 

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from braident.braids import parse_braid_word
+from braident.cli import _jsonable, state_from_json
 from braident.linalg import haar_unitary
 from braident.reps import b2_rep, evaluate, ge_rep, jones_rep
 from braident.states import (
@@ -15,8 +18,6 @@ from braident.states import (
     measure_qubit,
     named_state,
     partial_trace,
-    state_from_json,
-    state_to_json,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -248,7 +249,7 @@ class TestApplyLocal:
 class TestJsonFormat:
     def test_round_trip(self):
         state = named_state("phi")
-        doc = state_to_json(state)
+        doc = json.loads(json.dumps(state, default=_jsonable))
         assert doc["qubits"] == 3
         assert doc["amplitudes"][0] == [0.5, 0.0]
         restored = state_from_json(doc)
