@@ -104,6 +104,7 @@ def _long_decimal(digits: str, at: int) -> int:
 
 def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
     tokens: list[tuple[str, int | None, int]] = []
+    digits = frozenset("0123456789")  # ASCII only; str.isdecimal takes any script's digits
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -111,7 +112,7 @@ def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
             i += 1
         elif ch in ("s", "σ"):
             j = i + 1
-            while j < n and text[j].isdecimal():
+            while j < n and text[j] in digits:
                 j += 1
             if j == i + 1:
                 raise WordSyntaxError("generator letter needs an integer index", i)
@@ -132,7 +133,7 @@ def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
             if j < n and text[j] in "+-":
                 j += 1
             k = j
-            while k < n and text[k].isdecimal():
+            while k < n and text[k] in digits:
                 k += 1
             if k == j:
                 raise WordSyntaxError("power needs an integer exponent", i)

@@ -11,7 +11,8 @@ Usage:
 
 Exit codes: 0 success/pass, 1 a requested check failed, 2 usage or input
 error.  With --format json every command writes a single JSON document to
-stdout; complex numbers appear as [re, im] pairs.
+stdout; complex numbers appear as [re, im] pairs.  Each ``cmd_*`` returns
+(document, exit code); ``TEXT`` views a document as text; ``main`` prints.
 """
 
 from __future__ import annotations
@@ -20,25 +21,24 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 
-from .braids import parse_braid_word, render_braid_word
+from .braids import BraidWord, parse_braid_word, render_braid_word
 from .entanglement import (
-    ResidualProfile,
     concurrence_mixed2,
     concurrence_pure2,
     residual_profile,
     three_tangle,
     vn_entropy,
 )
-from .linalg import haar_unitary, is_unitary
+from .linalg import equal_up_to_phase, haar_unitary, is_unitary
 from .links import render_braid_ascii, summarize_closure
 from .reps import (
     DEFAULT_THETA,
     Representation,
     b2_rep,
-    closure_check,
     evaluate,
     ge_rep,
     jones_rep,
@@ -57,6 +57,16 @@ from .states import (
 REP_BUILDERS = {"b2": b2_rep, "ge": ge_rep, "jones": lambda theta: jones_rep()}
 
 LU_DEMO_FACTOR = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
+
+# lu-check: --factors choice -> (signed target for the transformed state, the
+# state whose invariant table is compared with ghz's).  Other choices have no
+# signed target and compare the transformed state itself.
+LU_TARGETS = {"default": ("-phi", "phi"), "identity": ("ghz", "transformed")}
+
+LU_NOTE = (
+    "local unitaries preserve the invariant table; computational-basis "
+    "measurement profiles are basis dependent and may differ"
+)
 
 
 def _jsonable(obj):
@@ -87,7 +97,7 @@ def complex_from_json(pair) -> complex:
 def matrix_from_json(rows) -> np.ndarray:
     try:
         return np.array([[complex_from_json(z) for z in row] for row in rows], dtype=complex)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
 
 
@@ -125,26 +135,14 @@ def _load_state(source: str | None, qubits: int) -> PureState:
     return state
 
 
-def _emit(doc: dict, args, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, default=_jsonable))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _profile_lines(profile: ResidualProfile) -> list[str]:
-    lines = []
-    for e in profile.entries:
+def _profile_lines(entries):
+    for e in entries:
         conc = "n/a" if e.concurrence is None else f"{e.concurrence:.6f}"
-        lines.append(
-            f"  qubit {e.qubit} outcome {e.outcome}: "
-            f"p = {e.probability:.6f}, leftover concurrence = {conc}"
-        )
-    return lines
+        yield (f"  qubit {e.qubit} outcome {e.outcome}: "
+               f"p = {e.probability:.6f}, leftover concurrence = {conc}")
 
 
-def cmd_relations(args) -> int:
+def cmd_relations(args) -> tuple[dict, int]:
     rep = REP_BUILDERS[args.rep](args.theta)
     report = verify_relations(rep, args.tol)
     doc = {
@@ -158,93 +156,77 @@ def cmd_relations(args) -> int:
         "tolerance": report.tolerance,
         "passed": report.passed,
     }
-    lines = [f"representation: {rep.name} ({rep.strands} strands, dimension {rep.dimension})"]
-    if not report.far_commutation_residuals:
-        lines.append("far commutation: no applicable generator pairs")
-    for i, j, r in report.far_commutation_residuals:
-        lines.append(f"far commutation s{i}/s{j}: residual {r:.3e}")
-    if not report.braiding_residuals:
-        lines.append("braiding: no applicable generator pairs")
-    for i, r in report.braiding_residuals:
-        lines.append(f"braiding s{i} s{i+1} s{i} vs s{i+1} s{i} s{i+1}: residual {r:.3e}")
-    lines.append(f"max residual: {report.max_residual:.3e} (tolerance {report.tolerance:g})")
-    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
-    _emit(doc, args, lines)
-    return 0 if report.passed else 1
+    return doc, 0 if report.passed else 1
 
 
-def _format_matrix_lines(matrix: np.ndarray) -> list[str]:
-    lines = []
-    for row in matrix:
-        cells = []
-        for z in row:
-            cells.append(f"{z.real:+.4f}{z.imag:+.4f}j")
-        lines.append("  " + "  ".join(cells))
-    return lines
+def _relations_text(doc: dict):
+    rep = doc["representation"]
+    yield f"representation: {rep['name']} ({rep['strands']} strands, dimension {rep['dimension']})"
+    if not doc["far_commutation"]:
+        yield "far commutation: no applicable generator pairs"
+    for r in doc["far_commutation"]:
+        yield f"far commutation s{r['i']}/s{r['j']}: residual {r['residual']:.3e}"
+    if not doc["braiding"]:
+        yield "braiding: no applicable generator pairs"
+    for r in doc["braiding"]:
+        i = r["i"]
+        yield f"braiding s{i} s{i+1} s{i} vs s{i+1} s{i} s{i+1}: residual {r['residual']:.3e}"
+    yield f"max residual: {doc['max_residual']:.3e} (tolerance {doc['tolerance']:g})"
+    yield f"result: {'PASS' if doc['passed'] else 'FAIL'}"
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[dict, int]:
     rep = REP_BUILDERS[args.rep](args.theta)
     word = parse_braid_word(args.word, rep.strands)
     matrix = evaluate(rep, word)
-    closure = closure_check(rep, word, args.tol)
+    phase = equal_up_to_phase(matrix, np.eye(rep.dimension, dtype=complex), args.tol)
     doc = {
         "command": "eval",
         "representation": _rep_json(rep),
         "word": render_braid_word(word),
         "strands": word.strands,
         "matrix": matrix,
-        "closure": {"closes": closure.closes, "phase": closure.phase},
+        "closure": {"closes": phase is not None, "phase": phase},
     }
-    lines = [
-        f"word: {render_braid_word(word) or '(empty word)'}  "
-        f"[{rep.name}, {rep.dimension}x{rep.dimension}]",
-        "matrix:",
-        *_format_matrix_lines(matrix),
-    ]
-    if closure.closes:
-        lines.append(f"closure: phase * identity with phase = {closure.phase:+.12f} rad")
+    return doc, 0
+
+
+def _eval_text(doc: dict):
+    rep, closure = doc["representation"], doc["closure"]
+    d = rep["dimension"]
+    yield f"word: {doc['word'] or '(empty word)'}  [{rep['name']}, {d}x{d}]"
+    yield "matrix:"
+    for row in doc["matrix"]:
+        yield "  " + "  ".join(f"{z.real:+.4f}{z.imag:+.4f}j" for z in row)
+    if closure["closes"]:
+        yield f"closure: phase * identity with phase = {closure['phase']:+.12f} rad"
     else:
-        lines.append("closure: not a phase times the identity")
-    _emit(doc, args, lines)
-    return 0
+        yield "closure: not a phase times the identity"
 
 
-def _named_overlaps(state: PureState, tol: float) -> tuple[dict, str | None]:
-    candidates = {"ghz": 3, "phi": 3, "bell": 2}
+def _named_overlaps(state: PureState) -> dict:
+    """|<name|state>| for each reference state on the same number of qubits."""
     overlaps = {}
-    matched = None
-    for name, qubits in candidates.items():
-        if qubits != state.qubits:
-            continue
+    for name in ("ghz", "phi", "bell"):
         target = named_state(name)
-        overlap = float(abs(np.vdot(target.amplitudes, state.amplitudes)))
-        overlaps[name] = overlap
-        if matched is None and 1.0 - overlap <= tol:
-            matched = name
-    return overlaps, matched
+        if target.qubits == state.qubits:
+            overlaps[name] = float(abs(np.vdot(target.amplitudes, state.amplitudes)))
+    return overlaps
 
 
-def cmd_entangle(args) -> int:
+def cmd_entangle(args) -> tuple[dict, int]:
     rep = REP_BUILDERS[args.rep](args.theta)
     word = parse_braid_word(args.word, rep.strands)
     state_in = _load_state(args.state, rep.strands)
     state_out = apply(evaluate(rep, word), state_in)
-    overlaps, matched = _named_overlaps(state_out, args.tol)
-
-    analysis: dict = {}
-    analysis_lines: list[str] = []
+    overlaps = _named_overlaps(state_out)
     if state_out.qubits == 3:
-        tangle = three_tangle(state_out)
-        profile = residual_profile(state_out)
-        analysis = {"three_tangle": tangle, "residual_profile": profile.entries}
-        analysis_lines = [f"three-tangle: {tangle:.6f}", "residual profile:"]
-        analysis_lines += _profile_lines(profile)
-    elif state_out.qubits == 2:
-        conc = concurrence_pure2(state_out)
-        analysis = {"concurrence": conc}
-        analysis_lines = [f"concurrence: {conc:.6f}"]
-
+        analysis = {
+            "three_tangle": three_tangle(state_out),
+            "residual_profile": residual_profile(state_out).entries,
+        }
+    else:
+        analysis = {"concurrence": concurrence_pure2(state_out)}
     doc = {
         "command": "entangle",
         "representation": _rep_json(rep),
@@ -252,47 +234,46 @@ def cmd_entangle(args) -> int:
         "input_state": state_in,
         "output_state": state_out,
         "named_overlaps": overlaps,
-        "matched_state": matched,
+        "matched_state": next((n for n, o in overlaps.items() if 1.0 - o <= args.tol), None),
         "analysis": analysis,
     }
-    lines = [f"word: {render_braid_word(word) or '(empty word)'}  [{rep.name}]"]
-    lines.append("output amplitudes:")
-    for idx, z in enumerate(state_out.amplitudes):
+    return doc, 0
+
+
+def _entangle_text(doc: dict):
+    state, analysis = doc["output_state"], doc["analysis"]
+    yield f"word: {doc['word'] or '(empty word)'}  [{doc['representation']['name']}]"
+    yield "output amplitudes:"
+    for idx, z in enumerate(state.amplitudes):
         if abs(z) > 1e-12:
-            lines.append(f"  |{idx:0{state_out.qubits}b}>: {z.real:+.6f}{z.imag:+.6f}j")
-    for name, overlap in overlaps.items():
-        lines.append(f"|<{name}|out>| = {overlap:.12f}")
-    lines.append(f"matched named state: {matched or 'none'}")
-    lines += analysis_lines
-    _emit(doc, args, lines)
-    return 0
+            yield f"  |{idx:0{state.qubits}b}>: {z.real:+.6f}{z.imag:+.6f}j"
+    for name, overlap in doc["named_overlaps"].items():
+        yield f"|<{name}|out>| = {overlap:.12f}"
+    yield f"matched named state: {doc['matched_state'] or 'none'}"
+    if "three_tangle" in analysis:
+        yield f"three-tangle: {analysis['three_tangle']:.6f}"
+        yield "residual profile:"
+        yield from _profile_lines(analysis["residual_profile"])
+    else:
+        yield f"concurrence: {analysis['concurrence']:.6f}"
 
 
 def _invariant_table(state: PureState) -> dict:
     rho = density(state)
-    entropies = {
-        str(q): vn_entropy(partial_trace(rho, {q})) for q in range(1, state.qubits + 1)
-    }
-    pairs = {}
-    for a in range(1, state.qubits + 1):
-        for b in range(a + 1, state.qubits + 1):
-            pairs[f"{a}-{b}"] = concurrence_mixed2(partial_trace(rho, {a, b}))
+    pairs = ((1, 2), (1, 3), (2, 3))
     return {
-        "single_qubit_entropies": entropies,
-        "pair_concurrences": pairs,
-        "three_tangle": three_tangle(state) if state.qubits == 3 else None,
+        "single_qubit_entropies": {str(q): vn_entropy(partial_trace(rho, {q})) for q in (1, 2, 3)},
+        "pair_concurrences": {
+            f"{a}-{b}": concurrence_mixed2(partial_trace(rho, {a, b})) for a, b in pairs
+        },
+        "three_tangle": three_tangle(state),
     }
 
 
 def _tables_agree(t1: dict, t2: dict, tol: float) -> bool:
-    for key in ("single_qubit_entropies", "pair_concurrences"):
-        for name, value in t1[key].items():
-            if abs(value - t2[key][name]) > tol:
-                return False
-    if t1["three_tangle"] is not None and t2["three_tangle"] is not None:
-        if abs(t1["three_tangle"] - t2["three_tangle"]) > tol:
-            return False
-    return True
+    keys = ("single_qubit_entropies", "pair_concurrences")
+    gaps = [abs(t1[k][n] - t2[k][n]) for k in keys for n in t1[k]]
+    return not any(gap > tol for gap in gaps + [abs(t1["three_tangle"] - t2["three_tangle"])])
 
 
 def _resolve_factors(args) -> tuple[list[np.ndarray], str]:
@@ -324,79 +305,32 @@ def _resolve_factors(args) -> tuple[list[np.ndarray], str]:
     )
 
 
-def cmd_lu_check(args) -> int:
+def cmd_lu_check(args) -> tuple[dict, int]:
     factors, label = _resolve_factors(args)
-    ghz = named_state("ghz")
-    phi = named_state("phi")
+    ghz, phi = named_state("ghz"), named_state("phi")
     transformed = apply_local(ghz, factors)
-
-    if label == "default":
-        target = PureState(3, -phi.amplitudes)
-        target_name = "-phi"
-        reference = phi
-    elif label == "identity":
-        target = ghz
-        target_name = "ghz"
-        reference = transformed
-    else:
-        target = None
-        target_name = None
-        reference = transformed
+    amps = transformed.amplitudes
+    states = {"ghz": ghz, "phi": phi, "-phi": PureState(3, -phi.amplitudes),
+              "transformed": transformed}
+    target, ref_label = LU_TARGETS.get(label, (None, "transformed"))
+    reference = states[ref_label]
 
     checks: dict = {}
-    lines = [f"factors: {label}", "transformed = (f1 (x) f2 (x) f3) |ghz>"]
     if target is not None:
-        err = float(np.max(np.abs(transformed.amplitudes - target.amplitudes)))
-        equal = err <= 1e-12
-        checks["target"] = target_name
-        checks["max_entry_error_vs_target"] = err
-        checks["signed_equality_to_target"] = equal
-        lines.append(f"signed equality to {target_name}: max entry error {err:.3e} "
-                     f"-> {'holds' if equal else 'FAILS'}")
-        if target_name == "-phi":
-            err_plus = float(np.max(np.abs(transformed.amplitudes - phi.amplitudes)))
-            overlap = float(abs(np.vdot(phi.amplitudes, transformed.amplitudes)))
-            checks["max_entry_error_vs_plus_phi"] = err_plus
-            checks["overlap_modulus_with_phi"] = overlap
-            lines.append(f"signed comparison against +phi: max entry error {err_plus:.3e}")
-            lines.append(f"|<phi|transformed>| = {overlap:.12f}")
-        passed_target = equal
-    else:
-        passed_target = True
+        err = float(np.max(np.abs(amps - states[target].amplitudes)))
+        checks = {
+            "target": target,
+            "max_entry_error_vs_target": err,
+            "signed_equality_to_target": err <= 1e-12,
+        }
+    if target == "-phi":
+        checks["max_entry_error_vs_plus_phi"] = float(np.max(np.abs(amps - phi.amplitudes)))
+        checks["overlap_modulus_with_phi"] = float(abs(np.vdot(phi.amplitudes, amps)))
 
     table_ghz = _invariant_table(ghz)
     table_ref = _invariant_table(reference)
-    ref_label = "phi" if label == "default" else "transformed"
     invariants_agree = _tables_agree(table_ghz, table_ref, 1e-10)
-    profile_ghz = residual_profile(ghz)
-    profile_ref = residual_profile(reference)
-
-    lines.append(f"invariant table (ghz vs {ref_label}):")
-    for q, value in table_ghz["single_qubit_entropies"].items():
-        lines.append(
-            f"  entropy qubit {q}: {value:.6f} vs "
-            f"{table_ref['single_qubit_entropies'][q]:.6f}"
-        )
-    for pair, value in table_ghz["pair_concurrences"].items():
-        lines.append(
-            f"  concurrence {pair}: {value:.6f} vs {table_ref['pair_concurrences'][pair]:.6f}"
-        )
-    lines.append(
-        f"  three-tangle: {table_ghz['three_tangle']:.6f} vs {table_ref['three_tangle']:.6f}"
-    )
-    lines.append(f"invariants agree within 1e-10: {'yes' if invariants_agree else 'NO'}")
-    lines.append("residual profile of ghz:")
-    lines += _profile_lines(profile_ghz)
-    lines.append(f"residual profile of {ref_label}:")
-    lines += _profile_lines(profile_ref)
-    note = (
-        "local unitaries preserve the invariant table; computational-basis "
-        "measurement profiles are basis dependent and may differ"
-    )
-    lines.append(f"note: {note}")
-
-    passed = passed_target and invariants_agree
-    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
+    passed = checks.get("signed_equality_to_target", True) and invariants_agree
     doc = {
         "command": "lu-check",
         "factors": label,
@@ -409,20 +343,52 @@ def cmd_lu_check(args) -> int:
             "all_agree": invariants_agree,
         },
         "residual_profiles": {
-            "ghz": profile_ghz.entries,
-            ref_label: profile_ref.entries,
+            "ghz": residual_profile(ghz).entries,
+            ref_label: residual_profile(reference).entries,
         },
-        "note": note,
+        "note": LU_NOTE,
         "passed": passed,
     }
-    _emit(doc, args, lines)
-    return 0 if passed else 1
+    return doc, 0 if passed else 1
 
 
-def cmd_links(args) -> int:
+def _lu_check_text(doc: dict):
+    checks, invariants = doc["checks"], doc["invariants"]
+    _, ref_label = doc["residual_profiles"]  # ghz first, then the reference
+    yield f"factors: {doc['factors']}"
+    yield "transformed = (f1 (x) f2 (x) f3) |ghz>"
+    if checks:
+        holds = "holds" if checks["signed_equality_to_target"] else "FAILS"
+        yield (f"signed equality to {checks['target']}: max entry error "
+               f"{checks['max_entry_error_vs_target']:.3e} -> {holds}")
+    if "overlap_modulus_with_phi" in checks:
+        yield ("signed comparison against +phi: max entry error "
+               f"{checks['max_entry_error_vs_plus_phi']:.3e}")
+        yield f"|<phi|transformed>| = {checks['overlap_modulus_with_phi']:.12f}"
+    ghz, ref = invariants["ghz"], invariants[ref_label]
+    yield f"invariant table (ghz vs {ref_label}):"
+    for q, value in ghz["single_qubit_entropies"].items():
+        yield f"  entropy qubit {q}: {value:.6f} vs {ref['single_qubit_entropies'][q]:.6f}"
+    for pair, value in ghz["pair_concurrences"].items():
+        yield f"  concurrence {pair}: {value:.6f} vs {ref['pair_concurrences'][pair]:.6f}"
+    yield f"  three-tangle: {ghz['three_tangle']:.6f} vs {ref['three_tangle']:.6f}"
+    agree = "yes" if invariants["all_agree"] else "NO"
+    yield f"invariants agree within {invariants['agree_within']:g}: {agree}"
+    for name, entries in doc["residual_profiles"].items():
+        yield f"residual profile of {name}:"
+        yield from _profile_lines(entries)
+    yield f"note: {doc['note']}"
+    yield f"result: {'PASS' if doc['passed'] else 'FAIL'}"
+
+
+def _word_on_strands(args) -> BraidWord:
     if not 2 <= args.strands <= 8:
         raise ValueError(f"strands must be between 2 and 8, got {args.strands}")
-    word = parse_braid_word(args.word, args.strands)
+    return parse_braid_word(args.word, args.strands)
+
+
+def cmd_links(args) -> tuple[dict, int]:
+    word = _word_on_strands(args)
     summary = summarize_closure(word)
     doc = {
         "command": "links",
@@ -432,30 +398,33 @@ def cmd_links(args) -> int:
         "exponent_sum": summary.exponent_sum,
         "named_match": summary.named_match,
     }
-    lines = [
-        f"word: {render_braid_word(word) or '(empty word)'} on {word.strands} strands",
-        f"closure components: {summary.components}",
-        f"exponent sum: {summary.exponent_sum}",
-        f"named word match: {summary.named_match or 'none'}",
-    ]
     if args.diagram:
-        diagram = render_braid_ascii(word, ascii_only=args.ascii_only)
-        doc["diagram"] = diagram
-        lines.append(diagram)
-    _emit(doc, args, lines)
-    return 0
+        doc["diagram"] = render_braid_ascii(word, ascii_only=args.ascii_only)
+    return doc, 0
 
 
-def cmd_render(args) -> int:
-    if not 2 <= args.strands <= 8:
-        raise ValueError(f"strands must be between 2 and 8, got {args.strands}")
-    word = parse_braid_word(args.word, args.strands)
-    diagram = render_braid_ascii(word, ascii_only=args.ascii_only)
-    if args.format == "json":
-        print(json.dumps({"command": "render", "diagram": diagram}, indent=2))
-    else:
-        print(diagram)
-    return 0
+def _links_text(doc: dict):
+    yield f"word: {doc['word'] or '(empty word)'} on {doc['strands']} strands"
+    yield f"closure components: {doc['components']}"
+    yield f"exponent sum: {doc['exponent_sum']}"
+    yield f"named word match: {doc['named_match'] or 'none'}"
+    if "diagram" in doc:
+        yield doc["diagram"]
+
+
+def cmd_render(args) -> tuple[dict, int]:
+    diagram = render_braid_ascii(_word_on_strands(args), ascii_only=args.ascii_only)
+    return {"command": "render", "diagram": diagram}, 0
+
+
+TEXT = {
+    "relations": _relations_text,
+    "eval": _eval_text,
+    "entangle": _entangle_text,
+    "lu-check": _lu_check_text,
+    "links": _links_text,
+    "render": lambda doc: [doc["diagram"]],
+}
 
 
 def _positive_float(text: str) -> float:
@@ -476,9 +445,11 @@ def _add_common(parser: argparse.ArgumentParser, rep: bool = False, word: bool =
             "--theta", type=float, default=DEFAULT_THETA,
             help="phase angle in radians for the b2/ge families (default 1.0)",
         )
+        parser.add_argument(
+            "--tol", type=_positive_float, default=1e-10, help="numerical tolerance"
+        )
     if word:
         parser.add_argument("--word", required=True, help='braid word, e.g. "(s1 s2)^3"')
-    parser.add_argument("--tol", type=_positive_float, default=1e-10, help="numerical tolerance")
     parser.add_argument(
         "--format", choices=["json", "text"], default="text", help="output format"
     )
@@ -562,12 +533,22 @@ def _is_number(token: str) -> bool:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its document; warnings become one stderr line each."""
     args = build_parser().parse_args(_bind_theta(sys.argv[1:] if argv is None else list(argv)))
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            doc, code = args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    if args.format == "json":
+        print(json.dumps(doc, indent=2, default=_jsonable))
+    else:
+        print("\n".join(TEXT[doc["command"]](doc)))
+    return code
 
 
 def entry() -> None:

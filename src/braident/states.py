@@ -41,12 +41,13 @@ class PureState:
         if self.qubits < 1:
             raise ValueError(f"need at least one qubit, got {self.qubits}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 2**self.qubits:
+        # the bit length bounds qubits before 2**qubits is formed
+        if amps.size.bit_length() != self.qubits + 1 or amps.size != 2**self.qubits:
             raise ValueError(
                 f"amplitude count {amps.size} does not match 2^{self.qubits}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state is not normalized: |amplitudes| = {norm!r}")
         object.__setattr__(self, "amplitudes", _freeze(amps.copy()))
 

@@ -103,6 +103,8 @@ class TestParser:
             pytest.param("s" + "1" * 5000, 0, id="index-5000-digits"),
             pytest.param("s\u00b2", 0, id="superscript-index"),
             pytest.param("s1^\u00b2", 2, id="superscript-exponent"),
+            pytest.param("s\u0661", 0, id="arabic-indic-index"),
+            pytest.param("s1^\u0663", 2, id="arabic-indic-exponent"),
         ],
     )
     def test_syntax_error_positions(self, text, position):

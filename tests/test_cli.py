@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +112,22 @@ class TestEval:
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_rational_theta_warns_on_one_line(self, capsys):
+        code = main(["eval", "--rep", "ge", "--word", "s1", "--theta", "0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.startswith("word: s1  [ge, 8x8]")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: theta = 0*pi is a rational multiple of pi;")
+
+    def test_input_error_after_a_warning_prints_only_the_error(self, capsys):
+        code = main(["eval", "--rep", "ge", "--theta", "0", "--word", "x"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
 
 
 class TestEntangle:
@@ -268,13 +287,17 @@ class TestMalformedFiles:
             (STATE_OPTION, json.dumps({"amplitudes": KET0})),
             (STATE_OPTION, json.dumps({"qubits": 3, "amplitudes": KET0[:-1] + [0.0]})),
             (STATE_OPTION, json.dumps({"qubits": float("inf"), "amplitudes": KET0})),
+            (STATE_OPTION, json.dumps({"qubits": 1e18, "amplitudes": KET0})),
+            (STATE_OPTION, json.dumps({"qubits": 3, "amplitudes": [[math.nan, 0.0]] + KET0[1:]})),
             (STATE_OPTION, DEEP),
             (FACTORS_OPTION, "[1, 2, 3]"),
             (FACTORS_OPTION, DEEP),
+            (FACTORS_OPTION, json.dumps([[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]])),
         ],
         ids=[
             "state-missing-qubits", "state-non-pair-amplitude", "state-infinite-qubits",
-            "state-deep-nesting", "factors-of-numbers", "factors-deep-nesting",
+            "state-huge-qubits", "state-nan-amplitude", "state-deep-nesting",
+            "factors-of-numbers", "factors-deep-nesting", "factors-huge-integer",
         ],
     )
     def test_exits_2_with_one_error_line(self, capsys, tmp_path, argv, text):
@@ -283,6 +306,18 @@ class TestMalformedFiles:
         code = main(argv + [f"@{path}"])
         assert code == 2
         assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lu-check"], ["links", "--word", "s1", "--strands", "2"],
+     ["render", "--word", "s1", "--strands", "2"]],
+    ids=["lu-check", "links", "render"],
+)
+def test_tol_is_rejected_where_no_tolerance_is_read(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--tol", "1e-3"])
+    assert err.value.code == 2
 
 
 class TestLinksAndRender:
@@ -357,6 +392,25 @@ WORD_TOKENS = ["s", "\u03c3", "0", "1", "2", "3", "9", "^", "-", "+", "(", ")", 
                "\u00b2", "\u0663", "x"]
 
 
+THETAS = st.sampled_from([0.0, math.pi, 1e308]) | st.floats(allow_nan=False, allow_infinity=False)
+
+# @file contents: any JSON document (big and non-finite numbers included), and
+# documents shaped like a state or a factor list so that decoding gets further.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+               | st.sampled_from([10**400, 1e308, -1e308]))
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=9) | st.dictionaries(
+        st.sampled_from(["qubits", "amplitudes", "output_state"]) | st.text(max_size=3),
+        children, max_size=4,
+    ),
+    max_leaves=40,
+)
+PAIRS = st.lists(st.lists(JSON_LEAVES, max_size=3), max_size=9)
+STATE_DOCS = st.fixed_dictionaries({"qubits": JSON_LEAVES, "amplitudes": PAIRS})
+FACTOR_DOCS = st.lists(st.lists(st.lists(JSON_LEAVES, max_size=3), max_size=3), max_size=4)
+
+
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(["eval", "entangle", "links", "render"]))
@@ -364,6 +418,8 @@ def cli_argv(draw):
     argv = [command, f"--word={word}", "--format", draw(st.sampled_from(["text", "json"]))]
     if command in ("eval", "entangle"):
         argv += ["--rep", draw(st.sampled_from(["b2", "ge", "jones"]))]
+        if draw(st.booleans()):
+            argv += ["--theta", repr(draw(THETAS))]
     else:
         argv += ["--strands", str(draw(st.integers(1, 9)))]
     if command == "entangle" and draw(st.booleans()):
@@ -372,13 +428,26 @@ def cli_argv(draw):
     return argv
 
 
+def assert_exit_contract(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert_one_error_line(err.getvalue())
+
+
 class TestMainFuzz:
     @settings(max_examples=150, deadline=None)
     @given(cli_argv())
     def test_exit_codes_and_error_lines(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert_one_error_line(err.getvalue())
+        assert_exit_contract(argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([STATE_OPTION, FACTORS_OPTION]),
+           st.one_of(JSON_DOCS, STATE_DOCS, FACTOR_DOCS))
+    def test_file_inputs(self, option, document):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            assert_exit_contract(option + [f"@{path}"])
