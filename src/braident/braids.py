@@ -22,6 +22,8 @@ that image gives the number of components of the word's closure.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 
 # Parser limits: the group depth stays well below Python's recursion limit, the
@@ -55,7 +57,7 @@ class GeneratorLetter:
             raise ValueError(f"exponent sign must be +1 or -1, got {self.sign}")
 
     def inverse(self) -> "GeneratorLetter":
-        return GeneratorLetter(self.index, -self.sign)
+        return shared_letter(self.index, -self.sign)
 
 
 @dataclass(frozen=True)
@@ -102,50 +104,48 @@ def _long_decimal(digits: str, at: int) -> int:
     return int(significant or "0")
 
 
-def _tokenize(text: str) -> list[tuple[str, int | None, int]]:
-    tokens: list[tuple[str, int | None, int]] = []
-    digits = frozenset("0123456789")  # ASCII only; str.isdecimal takes any script's digits
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in ("s", "σ"):
-            j = i + 1
-            while j < n and text[j] in digits:
-                j += 1
-            if j == i + 1:
-                raise WordSyntaxError("generator letter needs an integer index", i)
-            if j - i - 1 <= MAX_NUMBER_DIGITS:
-                index = int(text[i + 1 : j])
-            else:
-                index = _long_decimal(text[i + 1 : j], i)
-            tokens.append(("gen", index, i))
-            i = j
-        elif ch == "(":
-            tokens.append(("open", None, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("close", None, i))
-            i += 1
-        elif ch == "^":
-            j = i + 1
-            if j < n and text[j] in "+-":
-                j += 1
-            k = j
-            while k < n and text[k] in digits:
-                k += 1
-            if k == j:
-                raise WordSyntaxError("power needs an integer exponent", i)
-            if k - j <= MAX_NUMBER_DIGITS:
-                exponent = int(text[i + 1 : k])
-            else:
-                exponent = _long_decimal(text[j:k], i) * (-1 if text[i + 1] == "-" else 1)
-            tokens.append(("pow", exponent, i))
-            i = k
+# Token kinds are the group numbers of _TOKEN; a match fills exactly one group.
+_GEN, _POW, _OPEN, _CLOSE, _OTHER = 1, 2, 3, 4, 5
+_TOKEN = re.compile(r"\s*(?:[sσ]([0-9]*)|\^([+-]?[0-9]*)|(\()|(\))|(\S))")
+_MISSING_NUMBER = {
+    _GEN: "generator letter needs an integer index",
+    _POW: "power needs an integer exponent",
+}
+
+
+def _tokenize(text: str) -> list[tuple[int, int | None, int]]:
+    """(kind, value, position) tokens of the text, from one regex scan.
+
+    Digits are ASCII ``[0-9]`` only: the regex ``\\d`` and ``str.isdecimal``
+    also take other scripts' digits (Arabic-Indic, for one), which are syntax
+    errors here.  Whitespace is what ``str.isspace`` accepts, as ``\\s`` does.
+    """
+    tokens: list[tuple[int, int | None, int]] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        at = m.start(kind)
+        if kind == _OTHER:
+            raise WordSyntaxError(f"unexpected character {m[kind]!r}", at)
+        if kind > _POW:
+            tokens.append((kind, None, at))
+            continue
+        at -= 1  # the number follows the "s", "σ" or "^" that starts the token
+        number = m[kind]
+        digits = number.lstrip("+-")
+        if not digits:
+            raise WordSyntaxError(_MISSING_NUMBER[kind], at)
+        if len(digits) <= MAX_NUMBER_DIGITS:
+            value = int(number)
         else:
-            raise WordSyntaxError(f"unexpected character {ch!r}", i)
+            value = _long_decimal(digits, at) * (-1 if number[0] == "-" else 1)
+        tokens.append((kind, value, at))
     return tokens
+
+
+@functools.lru_cache(maxsize=4096)
+def shared_letter(index: int, sign: int) -> GeneratorLetter:
+    """The shared letter s_index^(sign); parsed words hold these, not one object per letter."""
+    return GeneratorLetter(index, sign)
 
 
 def _repeat(letters: list[GeneratorLetter], k: int) -> list[GeneratorLetter]:
@@ -155,6 +155,52 @@ def _repeat(letters: list[GeneratorLetter], k: int) -> list[GeneratorLetter]:
         return letters * k
     inverted = [letter.inverse() for letter in reversed(letters)]
     return inverted * (-k)
+
+
+def _parse_sequence(
+    tokens: list[tuple[int, int | None, int]], pos: int, depth: int, strands: int
+) -> tuple[list[GeneratorLetter], int]:
+    """Letters of the items from token ``pos`` up to an unmatched ")" or the end,
+    and the position of that token.
+
+    A module-level function on purpose: a nested one that calls itself is a
+    reference cycle that keeps the token list alive until the cycle
+    collector runs, and in a loop of long parses those lists pile up.
+    """
+    letters: list[GeneratorLetter] = []
+    end = len(tokens)
+    while pos < end:
+        kind, value, at = tokens[pos]
+        if kind == _GEN:
+            if not 1 <= value <= strands - 1:
+                raise WordSyntaxError(
+                    f"generator index {value} out of range for {strands} strands "
+                    f"(max {strands - 1})",
+                    at,
+                )
+            atom = [shared_letter(value, 1)]
+            pos += 1
+        elif kind == _OPEN:
+            if depth >= MAX_NESTING_DEPTH:
+                raise WordSyntaxError(f"groups nested deeper than {MAX_NESTING_DEPTH}", at)
+            atom, pos = _parse_sequence(tokens, pos + 1, depth + 1, strands)
+            if pos >= end or tokens[pos][0] != _CLOSE:
+                raise WordSyntaxError("unclosed '('", at)
+            pos += 1
+        elif kind == _CLOSE:
+            if depth == 0:
+                raise WordSyntaxError("unmatched ')'", at)
+            return letters, pos
+        else:
+            raise WordSyntaxError("power without a preceding generator or group", at)
+        k = 1
+        if pos < end and tokens[pos][0] == _POW:
+            _, k, at = tokens[pos]
+            pos += 1
+        if len(letters) + len(atom) * abs(k) > MAX_WORD_LETTERS:
+            raise WordSyntaxError(f"word expands past {MAX_WORD_LETTERS} letters", at)
+        letters += atom if k == 1 else _repeat(atom, k)
+    return letters, pos
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
@@ -167,47 +213,8 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     """
     if strands < 2:
         raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
-    tokens = _tokenize(text)
-    pos = 0
-
-    def parse_sequence(depth: int) -> list[GeneratorLetter]:
-        nonlocal pos
-        letters: list[GeneratorLetter] = []
-        while pos < len(tokens):
-            kind, value, at = tokens[pos]
-            if kind == "gen":
-                if not 1 <= value <= strands - 1:
-                    raise WordSyntaxError(
-                        f"generator index {value} out of range for {strands} strands "
-                        f"(max {strands - 1})",
-                        at,
-                    )
-                atom = [GeneratorLetter(value, 1)]
-                pos += 1
-            elif kind == "open":
-                if depth >= MAX_NESTING_DEPTH:
-                    raise WordSyntaxError(f"groups nested deeper than {MAX_NESTING_DEPTH}", at)
-                pos += 1
-                atom = parse_sequence(depth + 1)
-                if pos >= len(tokens) or tokens[pos][0] != "close":
-                    raise WordSyntaxError("unclosed '('", at)
-                pos += 1
-            elif kind == "close":
-                if depth == 0:
-                    raise WordSyntaxError("unmatched ')'", at)
-                return letters
-            else:
-                raise WordSyntaxError("power without a preceding generator or group", at)
-            k = 1
-            if pos < len(tokens) and tokens[pos][0] == "pow":
-                _, k, at = tokens[pos]
-                pos += 1
-            if len(letters) + len(atom) * abs(k) > MAX_WORD_LETTERS:
-                raise WordSyntaxError(f"word expands past {MAX_WORD_LETTERS} letters", at)
-            letters.extend(_repeat(atom, k))
-        return letters
-
-    return BraidWord(strands, tuple(parse_sequence(0)))
+    letters, _ = _parse_sequence(_tokenize(text), 0, 0, strands)
+    return BraidWord(strands, tuple(letters))
 
 
 def render_braid_word(word: BraidWord) -> str:

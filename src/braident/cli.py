@@ -128,11 +128,12 @@ def _load_state(source: str | None, qubits: int) -> PureState:
         if isinstance(data, dict) and "output_state" in data:
             data = data["output_state"]  # accept a previous entangle result
         state = state_from_json(data)
+        found = state.qubits
     else:
-        state = basis_state(source)
-    if state.qubits != qubits:
-        raise ValueError(f"state has {state.qubits} qubits but the word acts on {qubits}")
-    return state
+        state, found = None, len(source)  # checked before basis_state allocates 2^found amplitudes
+    if found != qubits:
+        raise ValueError(f"state has {found} qubits but the word acts on {qubits}")
+    return basis_state(source) if state is None else state
 
 
 def _profile_lines(entries):
@@ -535,6 +536,9 @@ def _is_number(token: str) -> bool:
 def main(argv=None) -> int:
     """Run one command and print its document; warnings become one stderr line each."""
     args = build_parser().parse_args(_bind_theta(sys.argv[1:] if argv is None else list(argv)))
+    for name, value in vars(args).items():
+        if value == []:  # argparse drops the "--" of "--word=--" and leaves an empty list
+            setattr(args, name, "--")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from braident.braids import (
     parse_braid_word,
     permutation_image,
     render_braid_word,
+    shared_letter,
 )
 
 BORROMEAN_TEXT = "s1 s2^-1 s1 s2^-1 s1 s2^-1"
@@ -34,6 +37,10 @@ def words(strands, max_size=12):
     return st.lists(letter, max_size=max_size).map(lambda ls: BraidWord(strands, tuple(ls)))
 
 
+# Separators between tokens: none, ASCII and Unicode whitespace (str.isspace).
+SEPARATORS = st.sampled_from(["", " ", "\t\n", "\u2003", "\x1c", "\u3000 "])
+
+
 @st.composite
 def word_texts(draw, strands=3, depth=0):
     parts = []
@@ -41,11 +48,14 @@ def word_texts(draw, strands=3, depth=0):
         if depth < 2 and draw(st.booleans()):
             atom = f"({draw(word_texts(strands=strands, depth=depth + 1))})"
         else:
-            atom = f"s{draw(st.integers(min_value=1, max_value=strands - 1))}"
+            letter = draw(st.sampled_from("sσ"))
+            atom = f"{letter}{draw(st.integers(min_value=1, max_value=strands - 1))}"
         if draw(st.booleans()):
-            atom += f"^{draw(st.integers(min_value=-3, max_value=3))}"
+            sign = draw(st.sampled_from(["", "+", "-"]))
+            atom += f"{draw(SEPARATORS)}^{sign}{draw(st.integers(min_value=0, max_value=3))}"
         parts.append(atom)
-    return " ".join(parts)
+        parts.append(draw(SEPARATORS))
+    return "".join(parts)
 
 
 class TestParser:
@@ -112,9 +122,42 @@ class TestParser:
             parse_braid_word(text, 3)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("space", ["\u2003", "\x1c", "\u3000", "\x85"])
+    def test_unicode_whitespace_between_tokens(self, space):
+        assert parse_braid_word(f"s1{space}s2{space}^-1", 3) == parse_braid_word("s1 s2^-1", 3)
+
+    def test_whitespace_is_what_str_isspace_accepts(self):
+        spaces = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+        assert parse_braid_word(f"{spaces}s1{spaces}({spaces}s2){spaces}", 3) == parse_braid_word(
+            "s1 s2", 3
+        )
+        for lookalike in ("\u200b", "\u2060", "\ufeff"):  # not str.isspace
+            with pytest.raises(WordSyntaxError) as err:
+                parse_braid_word(f"s1{lookalike}s2", 3)
+            assert err.value.position == 2
+
+    def test_sigma_and_s_mix_in_one_word(self):
+        assert parse_braid_word("σ1 s2^-1σ2 (s1σ2)^2", 3) == parse_braid_word(
+            "s1 s2^-1 s2 s1 s2 s1 s2", 3
+        )
+
+    def test_explicit_plus_exponent(self):
+        assert parse_braid_word("s1^+2 (s1 s2)^+1", 3) == parse_braid_word("s1 s1 s1 s2", 3)
+
     def test_leading_zeros_do_not_count_toward_digit_cap(self):
         zeros = "0" * 5000
         assert parse_braid_word(f"s{zeros}1^-{zeros}2", 3) == parse_braid_word("s1^-2", 3)
+
+    def test_parse_leaves_no_reference_cycle(self):
+        # a cycle would keep each parse's token list alive until the collector runs
+        parse_braid_word("s1", 3)
+        gc.collect()
+        gc.disable()
+        try:
+            parse_braid_word("(s1 s2^-1)^3 s1^2 ((s2)^-2 s1)^2", 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_strands_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +170,10 @@ class TestParser:
     @given(word_texts())
     def test_text_round_trip(self, text):
         first = parse_braid_word(text, 3)
-        assert parse_braid_word(render_braid_word(first), 3) == first
+        again = parse_braid_word(render_braid_word(first), 3)
+        assert again == first
+        for letter in first.letters + again.letters:
+            assert letter is shared_letter(letter.index, letter.sign)
 
 
 class TestWordAlgebra:

@@ -106,6 +106,19 @@ class TestEval:
             capsys, ["eval", "--rep", "b2", "--word", "s1", "--theta=-1e-3", "--format", "json"]
         ) == (code, doc)
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["links", "--word=--", "--strands", "2"], "unexpected character '-'"),
+            (["entangle", "--rep", "b2", "--word", "s1", "--state=--"], "basis label"),
+        ],
+    )
+    def test_double_dash_attached_to_an_option_is_its_value(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert message in err
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_theta_exits_2(self, capsys, theta):
         code = main(["eval", "--rep", "b2", "--word", "s1", f"--theta={theta}"])
@@ -207,6 +220,14 @@ class TestEntangle:
         code = main(["entangle", "--rep", "b2", "--word", "s1", "--state", "000"])
         assert code == 2
         assert "qubits" in capsys.readouterr().err
+
+    def test_long_bit_string_is_rejected_before_it_is_built(self, capsys):
+        # 2^64 amplitudes could never be allocated: the length is checked first
+        code = main(["entangle", "--rep", "ge", "--word", "s1", "--state", "0" * 64])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "state has 64 qubits but the word acts on 3" in err
 
 
 class TestLuCheck:

@@ -1,11 +1,27 @@
 """The top-level package surface, and the README's library example that uses it."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import braident
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Prints the top-level modules that importing every braident submodule adds
+# to a fresh interpreter, leaving out the standard library.
+IMPORT_ALL = """
+import importlib, json, pkgutil, sys
+before = {name.partition(".")[0] for name in sys.modules}
+import braident
+for info in pkgutil.iter_modules(braident.__path__):
+    importlib.import_module("braident." + info.name)
+added = {name.partition(".")[0] for name in sys.modules} - before
+print(json.dumps(sorted(added - set(sys.stdlib_module_names))))
+"""
 
 EXPORTS = [
     "BraidWord",
@@ -50,3 +66,15 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md#Library", "exec"), namespace)
     assert namespace["rep"].name == "jones"
     assert abs(namespace["three_tangle"](namespace["state"]) - 1.0) < 1e-12
+
+
+def test_no_runtime_dependency_beyond_numpy():
+    # Relative to a bare interpreter, which may already hold modules that
+    # site hooks preload (setuptools' _distutils_hack, certifi).
+    src = str(Path(braident.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_ALL], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == ["braident", "numpy"]

@@ -15,6 +15,7 @@ from braident.braids import (
 from braident.linalg import equal_up_to_phase, haar_unitary, is_unitary
 from braident.reps import (
     JONES_A,
+    SEGMENT,
     b2_rep,
     closure_check,
     evaluate,
@@ -44,8 +45,9 @@ def wrapped_angle_distance(a, b):
     return abs((a - b + np.pi) % (2 * np.pi) - np.pi)
 
 
-def random_word(rng, strands, max_len=12):
-    length = int(rng.integers(0, max_len + 1))
+def random_word(rng, strands, max_len=12, length=None):
+    if length is None:
+        length = int(rng.integers(0, max_len + 1))
     letters = tuple(
         GeneratorLetter(int(rng.integers(1, strands)), int(rng.choice([1, -1])))
         for _ in range(length)
@@ -250,6 +252,46 @@ class TestBlockEvaluation:
         assert not is_unitary(dense_images(u, 8)[0], 1e-10)
         with pytest.raises(ValueError, match="generator 1 is not unitary"):
             generic_rep(u, 8)
+
+
+class TestSegmentFold:
+    """Words past SEGMENT letters on whole-register reps are folded segment by segment."""
+
+    REPS = None
+
+    @classmethod
+    def setup_class(cls):
+        cls.REPS = [b2_rep(1.0), ge_rep(0.37), jones_rep()]
+
+    @pytest.mark.parametrize("length", [SEGMENT - 1, SEGMENT, SEGMENT + 1, 3 * SEGMENT + 17])
+    def test_matches_dense_written_order_product(self, length):
+        rng = np.random.default_rng(500 + length)
+        for rep in self.REPS:
+            word = random_word(rng, rep.strands, length=length)
+            product = evaluate(rep, word)
+            expected = written_order_product(rep.generator_images, word, rep.dimension)
+            if length <= SEGMENT:
+                assert product.tobytes() == expected.tobytes()
+            else:
+                assert np.max(np.abs(product - expected)) < 1e-12
+                eye = np.eye(rep.dimension)
+                assert np.linalg.norm(product @ product.conj().T - eye) <= 1e-10
+
+    def test_is_a_homomorphism_past_a_segment(self):
+        rng = np.random.default_rng(510)
+        for rep in self.REPS:
+            w1 = random_word(rng, rep.strands, length=2 * SEGMENT + 5)
+            w2 = random_word(rng, rep.strands, length=SEGMENT + 40)
+            lhs = evaluate(rep, concat(w1, w2))
+            rhs = evaluate(rep, w1) @ evaluate(rep, w2)
+            assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    def test_local_blocks_past_a_segment(self):
+        rng = np.random.default_rng(520)
+        u = haar_unitary(4, rng)
+        word = random_word(rng, 5, length=SEGMENT + 60)
+        expected = written_order_product(dense_images(u, 5), word, 32)
+        assert np.max(np.abs(evaluate(generic_rep(u, 5), word) - expected)) < 1e-12
 
 
 class TestEvaluate:
