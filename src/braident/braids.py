@@ -10,8 +10,12 @@ optional except inside generator names):
     power  := "^" signed-integer
 
 Both the ASCII spelling ``s1`` and the Unicode ``σ1`` are accepted; the
-renderer always emits ASCII.  Powers expand eagerly, so parsed words are stored flat;
-``(w)^-k`` expands to the reversed word with flipped signs repeated k times.
+renderer always emits ASCII.  Powers expand eagerly, so the letters of a parsed
+word are stored flat; ``(w)^-k`` expands to the reversed word with flipped signs
+repeated k times.  The parser also records every ``^k`` with |k| >= 2 as a run
+in ``BraidWord.powers``, so evaluation can raise a long run's period to its
+power instead of multiplying out its letters.  Runs are a hint about the
+letters, not part of the word: equality, hashing and rendering ignore them.
 
 Words map onto the symmetric group by sending every letter, regardless of
 sign, to the adjacent transposition swapping its index with the next point.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Parser limits: the group depth stays well below Python's recursion limit, the
 # letter cap stops a huge power from allocating before it is rejected, and the
@@ -66,10 +70,21 @@ class BraidWord:
 
     The empty letter sequence is the group identity.  Every letter index must
     be at most strands - 1.
+
+    ``powers`` lists the ``(start, period, count)`` runs of a parsed word, one
+    per ``^k`` with |k| >= 2 of a nonempty atom: ``letters[start : start +
+    period * count]`` is ``count`` copies of ``letters[start : start +
+    period]``.  Only runs inside an outer run's first period are kept, and the
+    runs are sorted by start, an outer run before the runs inside it.  Only
+    ``parse_braid_word`` sets them; every other word has none, and they take
+    no part in comparison, hashing or rendering.
     """
 
     strands: int
     letters: tuple[GeneratorLetter, ...] = ()
+    powers: tuple[tuple[int, int, int], ...] = field(
+        init=False, default=(), compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.strands < 2:
@@ -148,26 +163,42 @@ def shared_letter(index: int, sign: int) -> GeneratorLetter:
     return GeneratorLetter(index, sign)
 
 
-def _repeat(letters: list[GeneratorLetter], k: int) -> list[GeneratorLetter]:
-    if k == 0:
-        return []
-    if k > 0:
-        return letters * k
-    inverted = [letter.inverse() for letter in reversed(letters)]
-    return inverted * (-k)
+def _mirrored(runs: list[tuple[int, int, int]], length: int) -> list[tuple[int, int, int]]:
+    """The runs of ``length`` letters, as runs of the inverted letters.
+
+    A run's mirror image ends where it started, so a run nested in the first
+    period of another lands in the last period of that one's mirror image;
+    the periods are equal, so it moves back by (count - 1) periods of every
+    run around it.
+    """
+    out = []
+    around: list[tuple[int, int]] = []  # (stop, shift) of the runs around the current one
+    for start, period, count in runs:
+        while around and start >= around[-1][0]:
+            around.pop()
+        shift = around[-1][1] if around else 0
+        out.append((length - start - period * count - shift, period, count))
+        around.append((start + period * count, shift + (count - 1) * period))
+    out.sort(key=lambda run: (run[0], -run[1] * run[2]))  # outer runs first
+    return out
 
 
 def _parse_sequence(
     tokens: list[tuple[int, int | None, int]], pos: int, depth: int, strands: int
-) -> tuple[list[GeneratorLetter], int]:
-    """Letters of the items from token ``pos`` up to an unmatched ")" or the end,
-    and the position of that token.
+) -> tuple[list[GeneratorLetter], list[tuple[int, int, int]], int]:
+    """Letters and power runs of the items from token ``pos`` up to an unmatched
+    ")" or the end, and the position of that token.
+
+    Runs are kept as ``BraidWord.powers`` describes, with starts relative to
+    the returned letters.  They are touched only at power tokens and group
+    ends, never per plain letter.
 
     A module-level function on purpose: a nested one that calls itself is a
     reference cycle that keeps the token list alive until the cycle
     collector runs, and in a loop of long parses those lists pile up.
     """
     letters: list[GeneratorLetter] = []
+    runs: list[tuple[int, int, int]] = []
     end = len(tokens)
     while pos < end:
         kind, value, at = tokens[pos]
@@ -179,18 +210,19 @@ def _parse_sequence(
                     at,
                 )
             atom = [shared_letter(value, 1)]
+            inner = ()
             pos += 1
         elif kind == _OPEN:
             if depth >= MAX_NESTING_DEPTH:
                 raise WordSyntaxError(f"groups nested deeper than {MAX_NESTING_DEPTH}", at)
-            atom, pos = _parse_sequence(tokens, pos + 1, depth + 1, strands)
+            atom, inner, pos = _parse_sequence(tokens, pos + 1, depth + 1, strands)
             if pos >= end or tokens[pos][0] != _CLOSE:
                 raise WordSyntaxError("unclosed '('", at)
             pos += 1
         elif kind == _CLOSE:
             if depth == 0:
                 raise WordSyntaxError("unmatched ')'", at)
-            return letters, pos
+            return letters, runs, pos
         else:
             raise WordSyntaxError("power without a preceding generator or group", at)
         k = 1
@@ -199,22 +231,40 @@ def _parse_sequence(
             pos += 1
         if len(letters) + len(atom) * abs(k) > MAX_WORD_LETTERS:
             raise WordSyntaxError(f"word expands past {MAX_WORD_LETTERS} letters", at)
-        letters += atom if k == 1 else _repeat(atom, k)
-    return letters, pos
+        if k != 1:
+            if k == 0:
+                continue
+            if k < 0:
+                if inner:
+                    inner = _mirrored(inner, len(atom))
+                atom = [letter.inverse() for letter in reversed(atom)]
+                k = -k
+            if k > 1 and atom:
+                runs.append((len(letters), len(atom), k))
+            atom *= k
+        if inner:
+            base = len(letters)
+            runs += [(base + s, p, c) for s, p, c in inner]
+        letters += atom
+    return letters, runs, pos
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse braid word text into a flat BraidWord over the given strand count.
 
-    Raises WordSyntaxError with the character position for malformed text,
-    for generator indices that exceed strands - 1, for groups nested deeper
-    than MAX_NESTING_DEPTH and for words that expand past MAX_WORD_LETTERS
+    The word's ``powers`` record the runs its ``^k`` tokens wrote.  Raises
+    WordSyntaxError with the character position for malformed text, for
+    generator indices that exceed strands - 1, for groups nested deeper than
+    MAX_NESTING_DEPTH and for words that expand past MAX_WORD_LETTERS
     letters.  The empty string parses to the identity word.
     """
     if strands < 2:
         raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
-    letters, _ = _parse_sequence(_tokenize(text), 0, 0, strands)
-    return BraidWord(strands, tuple(letters))
+    letters, runs, _ = _parse_sequence(_tokenize(text), 0, 0, strands)
+    word = BraidWord(strands, tuple(letters))
+    if runs:
+        object.__setattr__(word, "powers", tuple(runs))
+    return word
 
 
 def render_braid_word(word: BraidWord) -> str:

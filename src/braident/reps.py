@@ -39,15 +39,28 @@ M <- M (I(x)B(x)I) is P <- (I(x)B^T(x)I) P for P = M^T, one k x k block
 applied along the block's qubits of P.  For a whole-register block this is
 the same floating-point product as M <- M B.
 
-Long words on whole-register representations (b2, ge, jones) are cut into
-segments of SEGMENT letters.  All whole segments are folded side by side,
-one letter position per batched matmul.  Their products are then multiplied
-in written order, and the tail of fewer than SEGMENT letters is folded letter
-by letter.  Such a word's product is therefore associated as a product of
-segment products, not as a pure left fold, and can differ from it in the
-last bits.  A word of at most SEGMENT letters takes exactly the per-letter
-steps (a slice of a batched matmul is the same product as the single one),
-so its product is bit for bit the left fold; the tests pin this.
+A parsed word's power runs (``BraidWord.powers``) of more than SEGMENT
+letters are not multiplied out letter by letter.  ``evaluate`` forms the
+product of the run's first period, itself evaluated with the runs nested in
+that period, and raises it to the run's count by repeated squaring, about
+2 log2(count) matmuls; the pieces are multiplied in written order.  A
+negative power needs no conjugate transpose, since its first period already
+holds the inverted letters.  The same holds for ``generic_rep``: at d <= 256
+one d x d matmul costs about d/4 letter steps.
+
+Stretches of letters between such runs, on whole-register representations
+(b2, ge, jones), are cut into segments of SEGMENT letters once they hold at
+least three whole segments (below that the batched fold is slower than the
+letter loop).  All whole segments are folded side by side, one letter
+position per batched matmul.  Their products are then multiplied in written
+order, and the tail of fewer than SEGMENT letters is folded letter by letter.
+
+Such a word's product is therefore associated as a product of run powers
+and segment products, not as a pure left fold, and can differ from it in
+the last bits.  A word of at most SEGMENT letters has no long run and takes
+exactly the per-letter steps, so its product is bit for bit the left fold;
+so is a word with no long run and fewer than 3 SEGMENT letters.  The tests
+pin both.
 """
 
 from __future__ import annotations
@@ -65,8 +78,9 @@ from .linalg import DEFAULT_TOL, equal_up_to_phase, is_unitary
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
 
-# Letters per segment of evaluate's lockstep fold; a word of at most this many
-# letters is multiplied out one letter after another.
+# Letters per segment of evaluate's lockstep fold, and the length above which a
+# power run is raised by squaring; a word of at most this many letters is
+# multiplied out one letter after another.
 SEGMENT = 256
 
 _I2 = np.eye(2, dtype=complex)
@@ -339,6 +353,62 @@ def _fold_segments(rep: Representation, codes: np.ndarray) -> np.ndarray:
     return p
 
 
+def _fold(
+    rep: Representation, letters, lo: int, hi: int, p: np.ndarray | None
+) -> np.ndarray | None:
+    """Continue the transposed product ``p`` (None: the identity) over letters[lo:hi].
+
+    A stretch of at least three whole segments on a whole-register
+    representation goes through ``_fold_segments`` first; shorter stretches,
+    and the tail, take one step per letter (the batched fold costs more than
+    the letter loop below about 700 letters).
+    """
+    if lo == hi:
+        return p
+    d = rep.dimension
+    codes = [letter.sign * letter.index for letter in letters[lo:hi]]
+    folded = 0
+    if len(codes) >= 3 * SEGMENT and all(len(block) == d for block, _ in rep.blocks):
+        folded = len(codes) // SEGMENT * SEGMENT
+        f = _fold_segments(rep, np.fromiter(codes, dtype=np.intp, count=folded))
+        p = f if p is None else f @ p.reshape(d, d)
+    if p is None:
+        p = np.eye(d, dtype=complex)
+    steps = rep.steps
+    for code in codes[folded:]:
+        block_t, shape = steps[code]
+        if p.shape != shape:  # a reshape on every 8x8 letter made evaluate ~8% slower
+            p = p.reshape(shape)
+        p = block_t @ p
+    return p
+
+
+def _product(rep: Representation, letters, runs, lo: int, hi: int) -> np.ndarray | None:
+    """The transposed product of letters[lo:hi], None for an empty stretch.
+
+    ``runs`` are the word's power runs inside [lo, hi), in ``BraidWord.powers``
+    order.  A run of more than SEGMENT letters is one period's product,
+    itself evaluated with the runs nested in that period, raised to the run's
+    count; the letters around such runs are folded.
+    """
+    d = rep.dimension
+    p, at, i = None, lo, 0
+    while i < len(runs):
+        start, period, count = runs[i]
+        stop = start + period * count
+        j = i + 1
+        while j < len(runs) and runs[j][0] < stop:  # the runs nested in this one
+            j += 1
+        if stop - start > SEGMENT:
+            p = _fold(rep, letters, at, start, p)
+            q = _product(rep, letters, runs[i + 1 : j], start, start + period)
+            q = np.linalg.matrix_power(q.reshape(d, d), count)  # by repeated squaring
+            p = q if p is None else q @ p.reshape(d, d)
+            at = stop
+        i = j
+    return _fold(rep, letters, at, hi, p)
+
+
 def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     """Evaluate a braid word to the product of generator images in written order.
 
@@ -346,29 +416,21 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     column vectors: "s1 s2" evaluates to sigma_1 @ sigma_2.  Negative letters
     use the conjugate transpose of the generator image.  The empty word
     evaluates to the identity.  Each letter costs d^2 k for a k x k block
-    (see the module docstring).  On whole-register representations the
-    leading whole segments of SEGMENT letters are folded side by side, so a
-    longer word's product is associated as a product of segment products.
+    (see the module docstring).  A power run of more than SEGMENT letters
+    (``word.powers``) costs one period's product and about 2 log2(count)
+    matmuls.  On whole-register representations a stretch of at least three
+    whole segments between such runs is folded segment by segment.  A word of
+    at most SEGMENT letters is multiplied out one letter after another.
     """
     if word.strands != rep.strands:
         raise ValueError(
             f"word is over {word.strands} strands but representation {rep.name!r} "
             f"has {rep.strands}"
         )
-    steps = rep.steps
     d = rep.dimension
-    codes = [letter.sign * letter.index for letter in word.letters]
-    whole = all(len(block) == d for block, _ in rep.blocks)
-    folded = len(codes) // SEGMENT * SEGMENT if whole else 0
-    if folded:
-        p = _fold_segments(rep, np.fromiter(codes, dtype=np.intp, count=folded))
-    else:
-        p = np.eye(d, dtype=complex)
-    for code in codes[folded:]:
-        block_t, shape = steps[code]
-        if p.shape != shape:  # a reshape on every 8x8 letter made evaluate ~8% slower
-            p = p.reshape(shape)
-        p = block_t @ p
+    p = _product(rep, word.letters, word.powers, 0, len(word.letters))
+    if p is None:
+        return np.eye(d, dtype=complex)
     return np.ascontiguousarray(p.reshape(d, d).T)
 
 

@@ -176,6 +176,49 @@ class TestParser:
             assert letter is shared_letter(letter.index, letter.sign)
 
 
+class TestPowerRuns:
+    """``BraidWord.powers``: the runs a parsed word's ``^k`` tokens wrote."""
+
+    def test_nested_runs(self):
+        # inner runs of a negative power are mirrored into the inverted period
+        word = parse_braid_word("((s1)^-500 (s2 s1)^-130)^-2", 3)
+        assert word.powers == ((0, 760, 2), (0, 2, 130), (260, 1, 500))
+        word = parse_braid_word("s2 ((s1 s2^-1)^300 s2)^7", 3)
+        assert word.powers == ((1, 601, 7), (1, 2, 300))
+        # a run nested in another's first period stays in the first period when inverted
+        assert parse_braid_word("((s1^300)^2)^-1", 3).powers == ((0, 300, 2), (0, 1, 300))
+        word = parse_braid_word("(s2 ((s1 s2^-1)^150 s2)^2)^-3", 3)
+        assert word.powers == ((0, 603, 3), (0, 301, 2), (1, 2, 150))
+
+    def test_short_powers_and_empty_atoms_record_no_run(self):
+        assert parse_braid_word("s1 s2^-1 (s1 s2)^1 (s2)^-1 (s1)^0", 3).powers == ()
+        assert parse_braid_word("()^5 s1^2", 3).powers == ((0, 1, 2),)
+
+    def test_only_the_parser_records_runs(self):
+        word = parse_braid_word("(s1 s2)^3", 3)
+        assert word.powers == ((0, 2, 3),)
+        assert repr(word) == repr(BraidWord(3, word.letters))
+        for derived in (concat(word, word), inverse(word), free_reduce(word)):
+            assert derived.powers == ()
+
+    @given(word_texts())
+    def test_runs_repeat_their_first_period(self, text):
+        word = parse_braid_word(text, 3)
+        letters = word.letters
+        for n, (start, period, count) in enumerate(word.powers):
+            assert period >= 1 and count >= 2
+            stop = start + period * count
+            assert letters[start:stop] == letters[start : start + period] * count
+            for later in word.powers[n + 1 :]:
+                # sorted by start, outer first; a run inside another sits in its first period
+                assert later[0] >= start
+                if later[0] < stop:
+                    assert later[0] + later[1] * later[2] <= start + period
+        flat = BraidWord(3, letters)
+        assert word == flat
+        assert hash(word) == hash(flat)
+
+
 class TestWordAlgebra:
     def test_concat(self):
         left = parse_braid_word("s1", 3)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braident.braids import (
     BraidWord,
@@ -255,7 +257,7 @@ class TestBlockEvaluation:
 
 
 class TestSegmentFold:
-    """Words past SEGMENT letters on whole-register reps are folded segment by segment."""
+    """Words of three or more SEGMENTs on whole-register reps are folded segment by segment."""
 
     REPS = None
 
@@ -263,14 +265,17 @@ class TestSegmentFold:
     def setup_class(cls):
         cls.REPS = [b2_rep(1.0), ge_rep(0.37), jones_rep()]
 
-    @pytest.mark.parametrize("length", [SEGMENT - 1, SEGMENT, SEGMENT + 1, 3 * SEGMENT + 17])
+    @pytest.mark.parametrize(
+        "length",
+        [SEGMENT - 1, SEGMENT, SEGMENT + 1, 3 * SEGMENT - 1, 3 * SEGMENT, 3 * SEGMENT + 17],
+    )
     def test_matches_dense_written_order_product(self, length):
         rng = np.random.default_rng(500 + length)
         for rep in self.REPS:
             word = random_word(rng, rep.strands, length=length)
             product = evaluate(rep, word)
             expected = written_order_product(rep.generator_images, word, rep.dimension)
-            if length <= SEGMENT:
+            if length < 3 * SEGMENT:
                 assert product.tobytes() == expected.tobytes()
             else:
                 assert np.max(np.abs(product - expected)) < 1e-12
@@ -292,6 +297,99 @@ class TestSegmentFold:
         word = random_word(rng, 5, length=SEGMENT + 60)
         expected = written_order_product(dense_images(u, 5), word, 32)
         assert np.max(np.abs(evaluate(generic_rep(u, 5), word) - expected)) < 1e-12
+
+
+POWERED_WORDS = [
+    "((s1 s2^-1)^300 s2)^-7",
+    "(s1 (s2^-1 s1)^200 s2)^-3 s1",
+    "((s1)^-500 (s2 s1)^-130)^-2",
+    "(s1^300)^-2",
+    "s1^1000",
+    "(s1 s2)^0",
+    "(s2 ((s1 s2^-1)^150 s2)^2)^-3",
+    # runs of SEGMENT + 1 letters
+    "s1^257",
+    "(s2^-1)^-257",
+    "s2 (s1 s2^-1 s1)^-86 s1",
+]
+
+
+class TestPowerRuns:
+    """Power runs of more than SEGMENT letters are raised to their count by squaring."""
+
+    REPS = None
+
+    @classmethod
+    def setup_class(cls):
+        u = haar_unitary(4, np.random.default_rng(600))
+        cls.REPS = [b2_rep(1.0), ge_rep(0.37), jones_rep(), generic_rep(u, 5)]
+
+    def parsed(self, text, rep):
+        # b2 has the one generator s1, so its words spell every s2 as s1
+        return parse_braid_word(text if rep.strands > 2 else text.replace("s2", "s1"), rep.strands)
+
+    @pytest.mark.parametrize("text", POWERED_WORDS)
+    def test_matches_flat_copy(self, text):
+        for rep in self.REPS:
+            word = self.parsed(text, rep)
+            product = evaluate(rep, word)
+            flat = evaluate(rep, BraidWord(rep.strands, word.letters))
+            assert np.max(np.abs(product - flat)) < 1e-12
+            eye = np.eye(rep.dimension)
+            assert np.linalg.norm(product @ product.conj().T - eye) <= 1e-10
+
+    @pytest.mark.parametrize("text", ["(s1 s2^-1)^128", "(s2 s1^-1 s1^-1 s2)^-64", "s1^256"])
+    def test_runs_of_a_segment_are_bitwise_the_letter_loop(self, text):
+        for rep in self.REPS:
+            word = self.parsed(text, rep)
+            assert len(word) == SEGMENT
+            flat = BraidWord(rep.strands, word.letters)
+            assert evaluate(rep, word).tobytes() == evaluate(rep, flat).tobytes()
+
+    def test_only_long_runs_are_powered(self, monkeypatch):
+        counts = []
+        power = np.linalg.matrix_power
+
+        def spy(q, count):
+            counts.append(count)
+            return power(q, count)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", spy)
+        rep = jones_rep()
+        evaluate(rep, parse_braid_word("s1 ((s2 s1^-1)^200 s2)^-3 (s1 s2)^128", 3))
+        assert counts == [200, 3]  # the inner run first, while evaluating the outer period
+        counts.clear()
+        evaluate(rep, parse_braid_word("(s1 s2)^128 s1^256", 3))
+        assert counts == []
+        evaluate(rep, parse_braid_word("s1^257 (s1 s2^-1 s1)^-86", 3))
+        assert counts == [257, 86]
+
+
+class TestClosurePhase:
+    """Closing words against closed-form phases that share no code with reps.py.
+
+    On ge, (s1 s2)^3 is e^{6i theta} times (UI IU)^3 of the unphased
+    matrices, which is -I; the Borromean word (s1 s2^-1)^3 is -I on jones.
+    """
+
+    @staticmethod
+    def assert_closes_with_phase(rep, text, phase):
+        result = closure_check(rep, parse_braid_word(text, 3))
+        assert result.closes
+        assert wrapped_angle_distance(result.phase, phase) <= 1e-9
+
+    @given(st.floats(min_value=0.3, max_value=2.8), st.integers(min_value=1, max_value=5000))
+    @example(1.0, 20000)
+    @settings(deadline=None)
+    def test_ge_nus_powers(self, theta, m):
+        rep = quiet_rep(ge_rep, theta)
+        self.assert_closes_with_phase(rep, f"(s1 s2)^{3 * m}", 6 * m * theta + m * np.pi)
+
+    @given(st.integers(min_value=1, max_value=5000))
+    @example(20000)
+    @settings(deadline=None)
+    def test_jones_borromean_powers(self, m):
+        self.assert_closes_with_phase(jones_rep(), f"(s1 s2^-1)^{3 * m}", m * np.pi)
 
 
 class TestEvaluate:
