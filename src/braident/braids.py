@@ -166,10 +166,10 @@ def shared_letter(index: int, sign: int) -> GeneratorLetter:
 def _mirrored(runs: list[tuple[int, int, int]], length: int) -> list[tuple[int, int, int]]:
     """The runs of ``length`` letters, as runs of the inverted letters.
 
-    A run's mirror image ends where it started, so a run nested in the first
-    period of another lands in the last period of that one's mirror image;
-    the periods are equal, so it moves back by (count - 1) periods of every
-    run around it.
+    Mirroring maps [s, s + p*c) to [length - s - p*c, length - s), so a run
+    nested in the first period of another lands in the last period of that
+    one's mirror image.  Every period holds the same letters, so the run
+    moves back by (count - 1) periods of each run around it.
     """
     out = []
     around: list[tuple[int, int]] = []  # (stop, shift) of the runs around the current one
