@@ -39,6 +39,19 @@ M <- M (I(x)B(x)I) is P <- (I(x)B^T(x)I) P for P = M^T, one k x k block
 applied along the block's qubits of P.  For a whole-register block this is
 the same floating-point product as M <- M B.
 
+On local blocks (``generic_rep`` on at least FUSE_FROM_QUBITS = 5 qubits)
+the letters are fused before they reach P.  In written order, a letter
+joins the latest pending group that holds one of its qubits if the two
+together span at most WINDOW = 3 qubits; it may pass the groups after that
+one, which share no qubit with it and so commute with it.  Otherwise it
+opens a new group.  Each group's product, k x k when all its letters share
+one block's qubits and else 8 x 8 from the ``window_steps`` placed once per
+representation, is then applied to P in one pass: a group of g letters costs
+g small matmuls plus one d^2 * 8 pass instead of g passes of d^2 * 4.  On a
+random word each pass takes about four letters.  On four qubits or fewer
+one register pass costs about as much as an 8 x 8 product, so there every
+letter still takes its own step.
+
 A parsed word's power runs (``BraidWord.powers``) of more than SEGMENT
 letters are not multiplied out letter by letter.  ``evaluate`` forms the
 product of the run's first period, itself evaluated with the runs nested in
@@ -57,10 +70,12 @@ order, and the tail of fewer than SEGMENT letters is folded letter by letter.
 
 Such a word's product is therefore associated as a product of run powers
 and segment products, not as a pure left fold, and can differ from it in
-the last bits.  A word of at most SEGMENT letters has no long run and takes
-exactly the per-letter steps, so its product is bit for bit the left fold;
-so is a word with no long run and fewer than 3 SEGMENT letters.  The tests
-pin both.
+the last bits.  On a whole-register representation a word of at most
+SEGMENT letters has no long run and takes exactly the per-letter steps, so
+its product is bit for bit the left fold; so is a word with no long run and
+fewer than 3 SEGMENT letters.  The tests pin both.  Fused groups on local
+blocks reassociate the product too, so there the left fold holds within
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -82,6 +97,13 @@ DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
 # power run is raised by squaring; a word of at most this many letters is
 # multiplied out one letter after another.
 SEGMENT = 256
+
+# Qubits a fused group of local-block letters may span in evaluate, and the
+# fewest register qubits at which evaluate fuses: on 4 qubits one register
+# pass costs about as much as one 8x8 group product (~3 us), so fusing there
+# does not pay.
+WINDOW = 3
+FUSE_FROM_QUBITS = 5
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -125,14 +147,26 @@ class Representation:
         """Per signed index, B^T for i and conj(B) for -i, each with the shape
         of evaluate's transposed product that puts the block's qubits on one axis.
         """
-        d = self.dimension
         out = {}
         for i, (block, first) in enumerate(self.blocks, start=1):
-            k = len(block)
-            before = 2 ** (first - 1)
-            shape = (k, d * d // k) if before == 1 else (before, k, d * d // (before * k))
+            shape = _step_shape(self.dimension, first, len(block))
             out[i] = (_frozen(block.T), shape)
             out[-i] = (_frozen(block.conj()), shape)
+        return out
+
+    @cached_property
+    def window_steps(self) -> dict[tuple[int, int], tuple[np.ndarray, tuple[int, ...]]]:
+        """Per (signed index, window start), the step image placed on the WINDOW
+        qubits from the window start, with the shape of the transposed product
+        that puts those qubits on one axis.  Only blocks that fit are listed.
+        """
+        out = {}
+        for c, (step, _) in self.steps.items():
+            first = self.blocks[abs(c) - 1][1]
+            m = len(step).bit_length() - 1
+            for w in range(max(1, first + m - WINDOW), min(first, self.strands - WINDOW + 1) + 1):
+                placed = _widen(step, 2 ** (first - w), 2 ** (w + WINDOW - first - m))
+                out[c, w] = (_frozen(placed), _step_shape(self.dimension, w, 2**WINDOW))
         return out
 
 
@@ -146,6 +180,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _step_shape(d: int, first: int, k: int) -> tuple[int, ...]:
+    """Shape of a d x d transposed product with the k-dimensional factor from
+    qubit ``first`` on its own axis (the leading one when ``first`` is 1)."""
+    before = 2 ** (first - 1)
+    return (k, d * d // k) if before == 1 else (before, k, d * d // (before * k))
+
+
+def _widen(block: np.ndarray, before: int, after: int) -> np.ndarray:
+    """I(x)block(x)I with identities of dimension ``before`` and ``after``,
+    written into place (np.kron costs about 25 us per call here)."""
+    k = len(block)
+    out = np.zeros((before, k, after, before, k, after), dtype=complex)
+    for b in range(before):
+        for a in range(after):
+            out[b, :, a, b, :, a] = block
+    return out.reshape(before * k * after, -1)
 
 
 def _place(block: np.ndarray, first: int, qubits: int) -> np.ndarray:
@@ -353,30 +405,80 @@ def _fold_segments(rep: Representation, codes: np.ndarray) -> np.ndarray:
     return p
 
 
+def _fused_steps(rep: Representation, codes: list[int]):
+    """The steps of local-block letters, fused into groups of at most WINDOW qubits.
+
+    In written order, a letter joins the latest group that holds one of its
+    qubits if the two together span at most WINDOW qubits; it commutes with
+    every later group, none of which touches its qubits.  Otherwise it opens
+    a new group.  Yields each group's transposed product and its shape, in
+    group order: the block-sized product when all of a group's letters share
+    one block's qubits, else the product of their ``window_steps``.
+    """
+    n = rep.strands
+    spans = {}  # signed index -> (first qubit, last qubit) of its block
+    for i, (block, first) in enumerate(rep.blocks, start=1):
+        spans[i] = spans[-i] = (first, first + len(block).bit_length() - 2)
+    groups: list[list] = []  # [first qubit, last qubit, signed indices]
+    latest = [-1] * (n + 1)  # latest[q]: the index of the latest group holding qubit q
+    for c in codes:
+        lo, hi = spans[c]
+        j = max(latest[lo : hi + 1])
+        if j >= 0:
+            group = groups[j]
+            if group[0] <= lo and hi <= group[1]:  # inside the group's span
+                group[2].append(c)
+                continue
+            start, end = min(lo, group[0]), max(hi, group[1])
+            if end - start < WINDOW:
+                group[0], group[1] = start, end
+                group[2].append(c)
+                latest[lo : hi + 1] = [j] * (hi - lo + 1)
+                continue
+        latest[lo : hi + 1] = [len(groups)] * (hi - lo + 1)
+        groups.append([lo, hi, [c]])
+    steps, window = rep.steps, rep.window_steps
+    for lo, _, members in groups:
+        if all(spans[c] == spans[members[0]] for c in members):
+            images = [steps[c] for c in members]
+        else:
+            w = min(lo, n - WINDOW + 1)
+            images = [window[c, w] for c in members]
+        t, shape = images[0]
+        for image, _ in images[1:]:
+            t = image @ t
+        yield t, shape
+
+
 def _fold(
     rep: Representation, letters, lo: int, hi: int, p: np.ndarray | None
 ) -> np.ndarray | None:
     """Continue the transposed product ``p`` (None: the identity) over letters[lo:hi].
 
-    A stretch of at least three whole segments on a whole-register
-    representation goes through ``_fold_segments`` first; shorter stretches,
-    and the tail, take one step per letter (the batched fold costs more than
-    the letter loop below about 700 letters).
+    On a whole-register representation a stretch of at least three whole
+    segments goes through ``_fold_segments`` first; shorter stretches, and
+    the tail, take one step per letter (the batched fold costs more than the
+    letter loop below about 700 letters).  On local blocks of a register of
+    at least FUSE_FROM_QUBITS qubits the letters take one step per fused
+    group (``_fused_steps``).
     """
     if lo == hi:
         return p
     d = rep.dimension
     codes = [letter.sign * letter.index for letter in letters[lo:hi]]
+    whole = all(len(block) == d for block, _ in rep.blocks)
     folded = 0
-    if len(codes) >= 3 * SEGMENT and all(len(block) == d for block, _ in rep.blocks):
+    if len(codes) >= 3 * SEGMENT and whole:
         folded = len(codes) // SEGMENT * SEGMENT
         f = _fold_segments(rep, np.fromiter(codes, dtype=np.intp, count=folded))
         p = f if p is None else f @ p.reshape(d, d)
     if p is None:
         p = np.eye(d, dtype=complex)
-    steps = rep.steps
-    for code in codes[folded:]:
-        block_t, shape = steps[code]
+    if whole or rep.strands < FUSE_FROM_QUBITS:
+        steps = map(rep.steps.__getitem__, codes[folded:])
+    else:
+        steps = _fused_steps(rep, codes)
+    for block_t, shape in steps:
         if p.shape != shape:  # a reshape on every 8x8 letter made evaluate ~8% slower
             p = p.reshape(shape)
         p = block_t @ p
@@ -416,11 +518,14 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     column vectors: "s1 s2" evaluates to sigma_1 @ sigma_2.  Negative letters
     use the conjugate transpose of the generator image.  The empty word
     evaluates to the identity.  Each letter costs d^2 k for a k x k block
-    (see the module docstring).  A power run of more than SEGMENT letters
-    (``word.powers``) costs one period's product and about 2 log2(count)
-    matmuls.  On whole-register representations a stretch of at least three
-    whole segments between such runs is folded segment by segment.  A word of
-    at most SEGMENT letters is multiplied out one letter after another.
+    (see the module docstring); on local blocks and at least FUSE_FROM_QUBITS
+    qubits, letters are fused into groups of at most WINDOW qubits, each
+    group costing one d^2 * 8 pass plus one 8 x 8 matmul per letter.  A power
+    run of more than SEGMENT letters (``word.powers``) costs one period's
+    product and about 2 log2(count) matmuls.  On whole-register
+    representations a stretch of at least three whole segments between such
+    runs is folded segment by segment, and a word of at most SEGMENT letters
+    is multiplied out one letter after another.
     """
     if word.strands != rep.strands:
         raise ValueError(

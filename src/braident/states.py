@@ -54,7 +54,14 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on a qubit register."""
+    """Hermitian, unit-trace, positive-semidefinite operator on a qubit register.
+
+    The constructor checks the shape, that every entry is finite, and all
+    three properties, each within NORM_TOL; positivity takes a full
+    Hermitian eigensolve, O(d^3).
+    ``density`` builds the projector of a pure state, positive semidefinite
+    by construction, without these checks.
+    """
 
     qubits: int
     matrix: np.ndarray
@@ -64,10 +71,13 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match 2^{self.qubits}")
+        if not np.isfinite(m).all():  # NaN would pass every check below
+            raise ValueError("density matrix has a non-finite entry")
         if np.linalg.norm(m - m.conj().T) > NORM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL or abs(np.trace(m).imag) > NORM_TOL:
-            raise ValueError(f"density matrix trace is not 1: {np.trace(m)!r}")
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > NORM_TOL or abs(trace.imag) > NORM_TOL:
+            raise ValueError(f"density matrix trace is not 1: {trace!r}")
         if np.linalg.eigvalsh(m)[0] < -NORM_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", _freeze(m.copy()))
@@ -149,8 +159,23 @@ def measure_qubit(state: PureState, k: int, outcome: int) -> MeasurementOutcome:
 
 
 def density(state: PureState) -> DensityMatrix:
-    """Rank-one projector |psi><psi|."""
-    return DensityMatrix(state.qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
+    """Rank-one projector |psi><psi| / <psi|psi>, in O(d^2).
+
+    ``PureState`` already checked psi, and psi psi^dag is Hermitian and
+    positive semidefinite by construction, so none of the constructor's
+    checks is repeated.  A norm within NORM_TOL of 1 can still leave
+    <psi|psi> = tr(psi psi^dag) off 1 by more than NORM_TOL; only then is
+    the outer product divided by its trace.
+    """
+    a = state.amplitudes
+    m = np.outer(a, a.conj())
+    trace = np.trace(m).real
+    if abs(trace - 1.0) > NORM_TOL:
+        m /= trace
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "qubits", state.qubits)
+    object.__setattr__(rho, "matrix", _freeze(m))
+    return rho
 
 
 def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:

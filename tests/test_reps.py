@@ -14,10 +14,13 @@ from braident.braids import (
     inverse,
     parse_braid_word,
 )
+from braident import reps
 from braident.linalg import equal_up_to_phase, haar_unitary, is_unitary
 from braident.reps import (
+    FUSE_FROM_QUBITS,
     JONES_A,
     SEGMENT,
+    WINDOW,
     b2_rep,
     closure_check,
     evaluate,
@@ -208,6 +211,15 @@ def written_order_product(images, word, dim):
     return functools.reduce(np.matmul, factors, np.eye(dim, dtype=complex))
 
 
+def written_order_columns(images, word, dim, columns):
+    """The first ``columns`` columns of written_order_product, last letter applied first."""
+    out = np.eye(dim, columns, dtype=complex)
+    for l in reversed(word.letters):
+        image = images[l.index - 1]
+        out = (image if l.sign > 0 else image.conj().T) @ out
+    return out
+
+
 class TestBlockEvaluation:
     """Generators kept as local blocks agree with their dense register images."""
 
@@ -363,6 +375,92 @@ class TestPowerRuns:
         assert counts == []
         evaluate(rep, parse_braid_word("s1^257 (s1 s2^-1 s1)^-86", 3))
         assert counts == [257, 86]
+
+
+class TestFusedLetters:
+    """On local blocks, evaluate fuses letters into groups of at most WINDOW qubits."""
+
+    @pytest.fixture(params=["default", "forced"])
+    def fusion(self, request, monkeypatch):
+        """Either evaluate as shipped, or fusing also below FUSE_FROM_QUBITS."""
+        if request.param == "forced":
+            monkeypatch.setattr(reps, "FUSE_FROM_QUBITS", 2)
+
+    def check(self, u, word, rep=None):
+        n, dim = word.strands, 2**word.strands
+        product = evaluate(rep or generic_rep(u, n), word)
+        images = dense_images(u, n)
+        if n <= 6:
+            expected = written_order_product(images, word, dim)
+        else:  # the full dense product of 300 letters at d = 256 takes seconds
+            expected = written_order_columns(images, word, dim, 16)
+            product = product[:, :16]
+            assert np.linalg.norm(product.conj().T @ product - np.eye(16)) <= 1e-10
+        assert np.max(np.abs(product - expected)) < 1e-12
+        if n <= 6:
+            assert np.linalg.norm(product @ product.conj().T - np.eye(dim)) <= 1e-10
+
+    @pytest.mark.parametrize("strands", range(2, 9))
+    def test_random_words_match_dense_product(self, fusion, strands):
+        rng = np.random.default_rng(700 + strands)
+        u = haar_unitary(4, rng)
+        rep = generic_rep(u, strands)
+        for length in (0, 1, 2, 3, 7, 60, 140, 300):
+            self.check(u, random_word(rng, strands, length=length), rep)
+
+    @pytest.mark.parametrize("text", [t for t in POWERED_WORDS if "^0" not in t])
+    @pytest.mark.parametrize("strands", [3, 5])
+    def test_powered_words_fuse_the_period(self, fusion, strands, text):
+        u = haar_unitary(4, np.random.default_rng(710))
+        word = parse_braid_word(text, strands)
+        assert any(period * count > SEGMENT for _, period, count in word.powers)
+        self.check(u, word)
+        rep = generic_rep(u, strands)
+        flat = evaluate(rep, BraidWord(strands, word.letters))
+        assert np.max(np.abs(evaluate(rep, word) - flat)) < 1e-12
+
+    @pytest.mark.parametrize("strands", [6, 8])
+    def test_letters_fuse_past_commuting_groups(self, strands):
+        u = haar_unitary(4, np.random.default_rng(720))
+        rep = generic_rep(u, strands)
+        codes = [1, 4, 2, 5, 1]  # s1 s4 s2 s5 s1: groups s1 s2 s1 and s4 s5
+        groups = list(reps._fused_steps(rep, codes))
+        windows = rep.window_steps
+        assert [shape for _, shape in groups] == [windows[1, 1][1], windows[4, 4][1]]
+        # the transposed product of s1 s2 s1, each placed on the window of qubits 1-3
+        s = [None] + [image.T for image in dense_images(u, WINDOW)]
+        np.testing.assert_array_equal(groups[0][0], s[1] @ (s[2] @ s[1]))
+        self.check(u, parse_braid_word("s1 s4 s2 s5 s1", strands), rep)
+
+    def test_windows_cover_every_block_that_fits(self):
+        u = haar_unitary(4, np.random.default_rng(730))
+        assert generic_rep(u, 2).window_steps == {}  # no 3-qubit window on 2 qubits
+        assert sorted(generic_rep(u, 3).window_steps) == [(c, 1) for c in (-2, -1, 1, 2)]
+        table = generic_rep(u, 5).window_steps
+        # s_i acts on qubits i and i + 1, which fit the windows from i - 1 and from i
+        signed = (-4, -3, -2, -1, 1, 2, 3, 4)
+        assert sorted(table) == sorted(
+            (c, w) for c in signed for w in (abs(c) - 1, abs(c)) if 1 <= w <= 3
+        )
+        for (c, w), (image, _) in table.items():
+            block = u.T if c > 0 else u.conj()
+            i = abs(c)
+            expected = np.kron(np.kron(np.eye(2 ** (i - w)), block), np.eye(2 ** (w + 1 - i)))
+            np.testing.assert_array_equal(image, expected)
+
+    def test_fusion_starts_at_five_qubits(self, monkeypatch):
+        calls = []
+        fused = reps._fused_steps
+
+        def spy(rep, codes):
+            calls.append(rep.strands)
+            return fused(rep, codes)
+
+        monkeypatch.setattr(reps, "_fused_steps", spy)
+        u = haar_unitary(4, np.random.default_rng(740))
+        for n in range(2, 9):
+            evaluate(generic_rep(u, n), parse_braid_word("s1 s1^-1", n))
+        assert calls == list(range(FUSE_FROM_QUBITS, 9))
 
 
 class TestClosurePhase:

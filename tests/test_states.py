@@ -73,6 +73,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(1, np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_matrix_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(1, np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(1, np.diag([bad, 0.5]))
+
 
 class TestApply:
     def test_bell_generation(self):
@@ -190,6 +197,29 @@ class TestDensityAndPartialTrace:
                 reduced = partial_trace(rho, keep)
                 assert np.trace(reduced.matrix) == pytest.approx(1.0, abs=1e-12)
                 assert np.allclose(reduced.matrix, reduced.matrix.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("qubits", range(1, 9))
+    def test_density_passes_the_validating_constructor(self, qubits):
+        # density() skips the eigenvalue check, so the constructor's check guards it here
+        rng = np.random.default_rng(40 + qubits)
+        for _ in range(3):
+            state = random_state(rng, qubits)
+            rho = density(state)
+            a = state.amplitudes
+            assert rho.matrix.tobytes() == np.outer(a, a.conj()).tobytes()
+            assert DensityMatrix(qubits, rho.matrix).matrix.tobytes() == rho.matrix.tobytes()
+            assert not rho.matrix.flags.writeable
+
+    def test_density_of_a_state_at_the_norm_tolerance(self):
+        # |psi| = 1 + 0.9e-10 is a valid PureState, but tr(psi psi^dag) = 1 + 1.8e-10
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1 + 0.9e-10
+        state = PureState(3, amps)
+        rho = density(state)
+        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
+        DensityMatrix(3, rho.matrix)
+        expected = np.outer(amps, amps.conj()) / np.vdot(amps, amps).real
+        assert np.max(np.abs(rho.matrix - expected)) <= 1e-16
 
     def test_sequential_contraction_consistency(self):
         rng = np.random.default_rng(37)
