@@ -39,18 +39,16 @@ M <- M (I(x)B(x)I) is P <- (I(x)B^T(x)I) P for P = M^T, one k x k block
 applied along the block's qubits of P.  For a whole-register block this is
 the same floating-point product as M <- M B.
 
-On local blocks (``generic_rep`` on at least FUSE_FROM_QUBITS = 5 qubits)
-the letters are fused before they reach P.  In written order, a letter
-joins the latest pending group that holds one of its qubits if the two
-together span at most WINDOW = 3 qubits; it may pass the groups after that
-one, which share no qubit with it and so commute with it.  Otherwise it
-opens a new group.  Each group's product, k x k when all its letters share
-one block's qubits and else 8 x 8 from the ``window_steps`` placed once per
-representation, is then applied to P in one pass: a group of g letters costs
-g small matmuls plus one d^2 * 8 pass instead of g passes of d^2 * 4.  On a
-random word each pass takes about four letters.  On four qubits or fewer
-one register pass costs about as much as an 8 x 8 product, so there every
-letter still takes its own step.
+On local blocks (``generic_rep``) the letters are fused before they reach
+P.  In written order, a letter joins the latest pending group that holds
+one of its qubits if the two together span at most WINDOW = 3 qubits; it
+may pass the groups after that one, which share no qubit with it and so
+commute with it.  Otherwise it opens a new group.  Each group's product,
+k x k when all its letters share one block's qubits and else 8 x 8 from the
+``window_steps`` placed once per representation, is then applied to P in
+one pass: a group of g letters costs g small matmuls plus one d^2 * 8 pass
+instead of g passes of d^2 * 4.  On a random word each pass takes about
+four letters.
 
 A parsed word's power runs (``BraidWord.powers``) of more than SEGMENT
 letters are not multiplied out letter by letter.  ``evaluate`` forms the
@@ -98,12 +96,8 @@ DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
 # multiplied out one letter after another.
 SEGMENT = 256
 
-# Qubits a fused group of local-block letters may span in evaluate, and the
-# fewest register qubits at which evaluate fuses: on 4 qubits one register
-# pass costs about as much as one 8x8 group product (~3 us), so fusing there
-# does not pay.
+# Qubits a fused group of local-block letters may span in evaluate.
 WINDOW = 3
-FUSE_FROM_QUBITS = 5
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -165,7 +159,7 @@ class Representation:
             first = self.blocks[abs(c) - 1][1]
             m = len(step).bit_length() - 1
             for w in range(max(1, first + m - WINDOW), min(first, self.strands - WINDOW + 1) + 1):
-                placed = _widen(step, 2 ** (first - w), 2 ** (w + WINDOW - first - m))
+                placed = _place(step, first - w + 1, WINDOW)
                 out[c, w] = (_frozen(placed), _step_shape(self.dimension, w, 2**WINDOW))
         return out
 
@@ -189,26 +183,17 @@ def _step_shape(d: int, first: int, k: int) -> tuple[int, ...]:
     return (k, d * d // k) if before == 1 else (before, k, d * d // (before * k))
 
 
-def _widen(block: np.ndarray, before: int, after: int) -> np.ndarray:
-    """I(x)block(x)I with identities of dimension ``before`` and ``after``,
-    written into place (np.kron costs about 25 us per call here)."""
+def _place(block: np.ndarray, first: int, qubits: int) -> np.ndarray:
+    """I(x)block(x)I on ``qubits`` qubits, with the block starting at qubit
+    ``first``, written into place (np.kron costs about 25 us per call)."""
     k = len(block)
+    before = 2 ** (first - 1)
+    after = 2**qubits // (before * k)
     out = np.zeros((before, k, after, before, k, after), dtype=complex)
     for b in range(before):
         for a in range(after):
             out[b, :, a, b, :, a] = block
     return out.reshape(before * k * after, -1)
-
-
-def _place(block: np.ndarray, first: int, qubits: int) -> np.ndarray:
-    """I(x)block(x)I on ``qubits`` qubits, with the block starting at qubit ``first``."""
-    before = 2 ** (first - 1)
-    after = 2**qubits // (before * len(block))
-    if before > 1:
-        block = np.kron(np.eye(before, dtype=complex), block)
-    if after > 1:
-        block = np.kron(block, np.eye(after, dtype=complex))
-    return block
 
 
 def _pair_residual(
@@ -426,9 +411,6 @@ def _fused_steps(rep: Representation, codes: list[int]):
         j = max(latest[lo : hi + 1])
         if j >= 0:
             group = groups[j]
-            if group[0] <= lo and hi <= group[1]:  # inside the group's span
-                group[2].append(c)
-                continue
             start, end = min(lo, group[0]), max(hi, group[1])
             if end - start < WINDOW:
                 group[0], group[1] = start, end
@@ -458,9 +440,8 @@ def _fold(
     On a whole-register representation a stretch of at least three whole
     segments goes through ``_fold_segments`` first; shorter stretches, and
     the tail, take one step per letter (the batched fold costs more than the
-    letter loop below about 700 letters).  On local blocks of a register of
-    at least FUSE_FROM_QUBITS qubits the letters take one step per fused
-    group (``_fused_steps``).
+    letter loop below about 700 letters).  On local blocks the letters take
+    one step per fused group (``_fused_steps``).
     """
     if lo == hi:
         return p
@@ -474,7 +455,7 @@ def _fold(
         p = f if p is None else f @ p.reshape(d, d)
     if p is None:
         p = np.eye(d, dtype=complex)
-    if whole or rep.strands < FUSE_FROM_QUBITS:
+    if whole:
         steps = map(rep.steps.__getitem__, codes[folded:])
     else:
         steps = _fused_steps(rep, codes)
@@ -518,14 +499,14 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     column vectors: "s1 s2" evaluates to sigma_1 @ sigma_2.  Negative letters
     use the conjugate transpose of the generator image.  The empty word
     evaluates to the identity.  Each letter costs d^2 k for a k x k block
-    (see the module docstring); on local blocks and at least FUSE_FROM_QUBITS
-    qubits, letters are fused into groups of at most WINDOW qubits, each
-    group costing one d^2 * 8 pass plus one 8 x 8 matmul per letter.  A power
-    run of more than SEGMENT letters (``word.powers``) costs one period's
-    product and about 2 log2(count) matmuls.  On whole-register
-    representations a stretch of at least three whole segments between such
-    runs is folded segment by segment, and a word of at most SEGMENT letters
-    is multiplied out one letter after another.
+    (see the module docstring); on local blocks, letters are fused into
+    groups of at most WINDOW qubits, each group costing one d^2 * 8 pass
+    plus one 8 x 8 matmul per letter.  A power run of more than SEGMENT
+    letters (``word.powers``) costs one period's product and about
+    2 log2(count) matmuls.  On whole-register representations a stretch of
+    at least three whole segments between such runs is folded segment by
+    segment, and a word of at most SEGMENT letters is multiplied out one
+    letter after another.
     """
     if word.strands != rep.strands:
         raise ValueError(

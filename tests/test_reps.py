@@ -17,7 +17,6 @@ from braident.braids import (
 from braident import reps
 from braident.linalg import equal_up_to_phase, haar_unitary, is_unitary
 from braident.reps import (
-    FUSE_FROM_QUBITS,
     JONES_A,
     SEGMENT,
     WINDOW,
@@ -380,12 +379,6 @@ class TestPowerRuns:
 class TestFusedLetters:
     """On local blocks, evaluate fuses letters into groups of at most WINDOW qubits."""
 
-    @pytest.fixture(params=["default", "forced"])
-    def fusion(self, request, monkeypatch):
-        """Either evaluate as shipped, or fusing also below FUSE_FROM_QUBITS."""
-        if request.param == "forced":
-            monkeypatch.setattr(reps, "FUSE_FROM_QUBITS", 2)
-
     def check(self, u, word, rep=None):
         n, dim = word.strands, 2**word.strands
         product = evaluate(rep or generic_rep(u, n), word)
@@ -401,7 +394,7 @@ class TestFusedLetters:
             assert np.linalg.norm(product @ product.conj().T - np.eye(dim)) <= 1e-10
 
     @pytest.mark.parametrize("strands", range(2, 9))
-    def test_random_words_match_dense_product(self, fusion, strands):
+    def test_random_words_match_dense_product(self, strands):
         rng = np.random.default_rng(700 + strands)
         u = haar_unitary(4, rng)
         rep = generic_rep(u, strands)
@@ -410,7 +403,7 @@ class TestFusedLetters:
 
     @pytest.mark.parametrize("text", [t for t in POWERED_WORDS if "^0" not in t])
     @pytest.mark.parametrize("strands", [3, 5])
-    def test_powered_words_fuse_the_period(self, fusion, strands, text):
+    def test_powered_words_fuse_the_period(self, strands, text):
         u = haar_unitary(4, np.random.default_rng(710))
         word = parse_braid_word(text, strands)
         assert any(period * count > SEGMENT for _, period, count in word.powers)
@@ -447,20 +440,6 @@ class TestFusedLetters:
             i = abs(c)
             expected = np.kron(np.kron(np.eye(2 ** (i - w)), block), np.eye(2 ** (w + 1 - i)))
             np.testing.assert_array_equal(image, expected)
-
-    def test_fusion_starts_at_five_qubits(self, monkeypatch):
-        calls = []
-        fused = reps._fused_steps
-
-        def spy(rep, codes):
-            calls.append(rep.strands)
-            return fused(rep, codes)
-
-        monkeypatch.setattr(reps, "_fused_steps", spy)
-        u = haar_unitary(4, np.random.default_rng(740))
-        for n in range(2, 9):
-            evaluate(generic_rep(u, n), parse_braid_word("s1 s1^-1", n))
-        assert calls == list(range(FUSE_FROM_QUBITS, 9))
 
 
 class TestClosurePhase:
