@@ -17,11 +17,20 @@ in ``BraidWord.powers``, so evaluation can raise a long run's period to its
 power instead of multiplying out its letters.  Runs are a hint about the
 letters, not part of the word: equality, hashing and rendering ignore them.
 
+Flat text, meaning generators with an optional ``^-1`` and whitespace, is
+read by one regex pass; any other text, and any flat text the fast pass
+cannot accept as it stands (an index out of range, too many letters), goes
+through the tokenizer and the grammar, so errors keep their message and
+position.
+
 Words map onto the symmetric group by sending every letter, regardless of
 sign, to the adjacent transposition swapping its index with the next point.
 The image is a plain tuple: entry x-1 is the end position of the strand that
 starts at position x, with letters acting in word order.  Cycle counting of
-that image gives the number of components of the word's closure.
+that image gives the number of components of the word's closure.  The image,
+the exponent sum and the signed letter count per generator (the image in the
+free group's abelianization) are taken from the power runs, a run costing
+its first period plus a permutation power, not one step per letter.
 """
 
 from __future__ import annotations
@@ -157,6 +166,33 @@ def _tokenize(text: str) -> list[tuple[int, int | None, int]]:
     return tokens
 
 
+# One match per flat letter, a generator of at most three digits with an
+# optional ^-1; its group holds the digits and the ^-1.  Any other non-space
+# character matches alone with an empty group, so one findall both reads the
+# letters and tells whether the text is flat.  (A fullmatch of the repeated
+# letter pattern would keep backtracking state for every letter.)
+_FLAT_LETTER = re.compile(r"\s*(?:[sσ]([0-9]{1,3}(?:\s*\^-1)?)|\S)")
+
+
+def _flat_letters(text: str, strands: int) -> tuple[GeneratorLetter, ...] | None:
+    """The letters of flat text, or None if the text needs the full grammar."""
+    items = _FLAT_LETTER.findall(text)  # "2" for s2, "2^-1" or "2 ^-1" for its inverse
+    if len(items) > MAX_WORD_LETTERS:
+        return None
+    table = {}
+    for item in set(items):
+        digits, power, _ = item.partition("^")
+        if not digits:  # a character that is not part of a flat letter
+            return None
+        index = int(digits.rstrip())
+        if not 1 <= index <= strands - 1:
+            return None
+        table[item] = shared_letter(index, -1 if power else 1)
+    # tuple() straight from the map grows the tuple by reallocation, which over
+    # many short words fragments the heap (peak RSS rose about 3% in a loop)
+    return tuple(list(map(table.__getitem__, items)))
+
+
 @functools.lru_cache(maxsize=4096)
 def shared_letter(index: int, sign: int) -> GeneratorLetter:
     """The shared letter s_index^(sign); parsed words hold these, not one object per letter."""
@@ -252,7 +288,10 @@ def _parse_sequence(
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse braid word text into a flat BraidWord over the given strand count.
 
-    The word's ``powers`` record the runs its ``^k`` tokens wrote.  Raises
+    The word's ``powers`` record the runs its ``^k`` tokens wrote.  Flat text
+    (generators, ``^-1`` and whitespace) is read in one regex pass; every
+    other text goes through the tokenizer, and so does flat text that would
+    raise, so both paths give the same word and the same errors.  Raises
     WordSyntaxError with the character position for malformed text, for
     generator indices that exceed strands - 1, for groups nested deeper than
     MAX_NESTING_DEPTH and for words that expand past MAX_WORD_LETTERS
@@ -260,6 +299,9 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     """
     if strands < 2:
         raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
+    letters = _flat_letters(text, strands)
+    if letters is not None:
+        return BraidWord(strands, letters)
     letters, runs, _ = _parse_sequence(_tokenize(text), 0, 0, strands)
     word = BraidWord(strands, tuple(letters))
     if runs:
@@ -287,24 +329,99 @@ def inverse(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, tuple(l.inverse() for l in reversed(word.letters)))
 
 
+def free_reduce_codes(codes) -> list[int]:
+    """Signed indices (+i for s_i, -i for its inverse) with every adjacent
+    inverse pair cancelled, by one pass over a stack."""
+    stack: list[int] = []
+    for c in codes:
+        if stack and stack[-1] == -c:
+            stack.pop()
+        else:
+            stack.append(c)
+    return stack
+
+
 def free_reduce(word: BraidWord) -> BraidWord:
     """Cancel all adjacent s_i s_i^-1 pairs (free-group reduction only).
 
     The braid relation is never applied syntactically; words that are equal in
     the braid group but not freely equal stay distinct.
     """
-    stack: list[GeneratorLetter] = []
-    for letter in word.letters:
-        if stack and stack[-1].index == letter.index and stack[-1].sign == -letter.sign:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return BraidWord(word.strands, tuple(stack))
+    codes = free_reduce_codes(letter.sign * letter.index for letter in word.letters)
+    return BraidWord(word.strands, tuple(shared_letter(abs(c), 1 if c > 0 else -1) for c in codes))
+
+
+def outer_runs(runs, longer_than: int = 0):
+    """The outermost of ``runs`` (``BraidWord.powers`` order) that span more
+    than ``longer_than`` letters, as ``(start, period, count, inner)`` with
+    ``inner`` the runs nested in the first period.  Runs nested in a run that
+    is left out are left out too."""
+    i = 0
+    while i < len(runs):
+        start, period, count = runs[i]
+        stop = start + period * count
+        j = i + 1
+        while j < len(runs) and runs[j][0] < stop:
+            j += 1
+        if stop - start > longer_than:
+            yield start, period, count, runs[i + 1 : j]
+        i = j
+
+
+def _permutation_power(moved: list[int], count: int) -> list[int]:
+    """``moved`` composed with itself ``count`` times, by repeated squaring."""
+    out = list(range(len(moved)))
+    while count:
+        if count & 1:
+            out = [moved[q] for q in out]  # powers of one permutation commute
+        moved = [moved[q] for q in moved]
+        count >>= 1
+    return out
+
+
+def _walk(letters, runs, lo: int, hi: int, strands: int) -> tuple[list[int], list[int]]:
+    """Where the strands of letters[lo:hi] end up, and its signed letter sums.
+
+    Returns ``(moved, sums)``: ``moved[p]`` is the position, before the
+    stretch, of the strand at position p after it, and ``sums[i]`` the signed
+    count of s_i.  A run costs its first period's walk and a permutation
+    power; the letters between runs take one step each.
+    """
+    moved = list(range(strands))
+    sums = [0] * strands
+    at = lo
+    for start, period, count, inner in outer_runs(runs):
+        _step(letters[at:start], moved, sums)
+        run_moved, run_sums = _walk(letters, inner, start, start + period, strands)
+        moved = [moved[q] for q in _permutation_power(run_moved, count)]
+        for i, s in enumerate(run_sums):
+            sums[i] += count * s
+        at = start + period * count
+    _step(letters[at:hi], moved, sums)
+    return moved, sums
+
+
+def _step(letters, moved: list[int], sums: list[int]) -> None:
+    """Carry ``moved`` and ``sums`` over plain letters, one swap per letter."""
+    for letter in letters:
+        i = letter.index
+        moved[i - 1], moved[i] = moved[i], moved[i - 1]
+        sums[i] += letter.sign
+
+
+def word_images(word: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation image and the signed letter count of each generator
+    s_1 .. s_{n-1}, from one walk over the word's letters and power runs."""
+    moved, sums = _walk(word.letters, word.powers, 0, len(word.letters), word.strands)
+    image = [0] * word.strands
+    for position, start in enumerate(moved, start=1):
+        image[start] = position
+    return tuple(image), tuple(sums[1:])
 
 
 def exponent_sum(word: BraidWord) -> int:
     """Sum of letter signs: the homomorphism onto the integers (writhe)."""
-    return sum(letter.sign for letter in word.letters)
+    return sum(word_images(word)[1])
 
 
 def permutation_image(word: BraidWord) -> tuple[int, ...]:
@@ -314,14 +431,7 @@ def permutation_image(word: BraidWord) -> tuple[int, ...]:
     position x.  Each letter swaps the strands currently at positions i and
     i+1, so letters act in word order.
     """
-    strand_at = list(range(word.strands))  # 0-based start index of the strand at each position
-    for letter in word.letters:
-        i = letter.index
-        strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
-    image = [0] * word.strands
-    for position, start in enumerate(strand_at, start=1):
-        image[start] = position
-    return tuple(image)
+    return word_images(word)[0]
 
 
 def cycle_count(image: tuple[int, ...]) -> int:

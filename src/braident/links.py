@@ -5,7 +5,9 @@ into a link whose component count equals the cycle count of the word's
 symmetric-group image.  Three words get names here; recognition is literal
 comparison of the freely reduced letter sequence against the registry, never
 a topological equivalence test, so a match means "word matches", not "link
-proven equal".
+proven equal".  Free reduction keeps each generator's signed letter count
+(the word's image in the free group's abelianization), so only a word whose
+counts equal a registered word's is reduced and compared.
 """
 
 from __future__ import annotations
@@ -16,20 +18,23 @@ from .braids import (
     BraidWord,
     GeneratorLetter,
     cycle_count,
-    exponent_sum,
     free_reduce,
-    permutation_image,
     render_braid_word,
+    word_images,
 )
 
 MAX_RENDER_LETTERS = 64
 MAX_RENDER_STRANDS = 8
 
 _REGISTERED_WORDS = {
-    "hopf": (2, (GeneratorLetter(1, 1),) * 2),
-    "borromean_word": (3, (GeneratorLetter(1, 1), GeneratorLetter(2, -1)) * 3),
-    "nus_word": (3, (GeneratorLetter(1, 1), GeneratorLetter(2, 1)) * 3),
+    name: BraidWord(strands, letters)
+    for name, strands, letters in (
+        ("hopf", 2, (GeneratorLetter(1, 1),) * 2),
+        ("borromean_word", 3, (GeneratorLetter(1, 1), GeneratorLetter(2, -1)) * 3),
+        ("nus_word", 3, (GeneratorLetter(1, 1), GeneratorLetter(2, 1)) * 3),
+    )
 }
+_REGISTERED_SUMS = {name: word_images(word)[1] for name, word in _REGISTERED_WORDS.items()}
 
 
 @dataclass(frozen=True)
@@ -41,16 +46,18 @@ class ClosureSummary:
 
 def summarize_closure(word: BraidWord) -> ClosureSummary:
     """Component count, exponent sum, and literal named-word recognition."""
-    reduced = free_reduce(word)
+    image, sums = word_images(word)
     named = None
-    for name, (strands, letters) in _REGISTERED_WORDS.items():
-        if reduced.strands == strands and reduced.letters == letters:
+    for name, registered in _REGISTERED_WORDS.items():
+        if (
+            registered.strands == word.strands
+            and _REGISTERED_SUMS[name] == sums
+            and free_reduce(word) == registered
+        ):
             named = name
             break
     return ClosureSummary(
-        components=cycle_count(permutation_image(word)),
-        exponent_sum=exponent_sum(word),
-        named_match=named,
+        components=cycle_count(image), exponent_sum=sum(sums), named_match=named
     )
 
 

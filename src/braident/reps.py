@@ -59,21 +59,26 @@ negative power needs no conjugate transpose, since its first period already
 holds the inverted letters.  The same holds for ``generic_rep``: at d <= 256
 one d x d matmul costs about d/4 letter steps.
 
-Stretches of letters between such runs, on whole-register representations
-(b2, ge, jones), are cut into segments of SEGMENT letters once they hold at
-least three whole segments (below that the batched fold is slower than the
-letter loop).  All whole segments are folded side by side, one letter
-position per batched matmul.  Their products are then multiplied in written
-order, and the tail of fewer than SEGMENT letters is folded letter by letter.
+A stretch of letters between such runs that holds at least three whole
+segments of SEGMENT letters is first freely reduced: every adjacent
+``s_i s_i^-1`` pair cancels in the group, so it is dropped instead of being
+multiplied out (a random literal word on two generators keeps about half its
+letters).  On whole-register representations (b2, ge, jones) a reduced
+stretch that still holds three whole segments is cut into segments (below
+that the batched fold is slower than the letter loop).  All whole segments
+are folded side by side, one letter position per batched matmul.  Their
+products are then multiplied in written order, and the tail of fewer than
+SEGMENT letters is folded letter by letter.
 
 Such a word's product is therefore associated as a product of run powers
-and segment products, not as a pure left fold, and can differ from it in
-the last bits.  On a whole-register representation a word of at most
-SEGMENT letters has no long run and takes exactly the per-letter steps, so
-its product is bit for bit the left fold; so is a word with no long run and
-fewer than 3 SEGMENT letters.  The tests pin both.  Fused groups on local
-blocks reassociate the product too, so there the left fold holds within
-rounding, not bit for bit.
+and segment products of the reduced letters, not as a pure left fold of
+the written letters, and can differ from it in the last bits; fewer
+products also mean less rounding.  On a whole-register representation a
+word of at most SEGMENT letters has no long run and takes exactly the
+per-letter steps, so its product is bit for bit the left fold; so is a
+word with no long run and fewer than 3 SEGMENT letters.  The tests pin
+both.  Fused groups on local blocks reassociate the product too, so there
+the left fold holds within rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .braids import BraidWord
+from .braids import BraidWord, free_reduce_codes, outer_runs
 from .linalg import DEFAULT_TOL, equal_up_to_phase, is_unitary
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
@@ -176,6 +181,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _span(block: np.ndarray, first: int) -> tuple[int, int]:
+    """The first and last qubit a block acts on."""
+    return first, first + len(block).bit_length() - 2
+
+
 def _step_shape(d: int, first: int, k: int) -> tuple[int, ...]:
     """Shape of a d x d transposed product with the k-dimensional factor from
     qubit ``first`` on its own axis (the leading one when ``first`` is 1)."""
@@ -206,9 +216,7 @@ def _pair_residual(
     qubits left out scales the norm by the square root of their dimension.
     """
     # (first qubit, last qubit) of each block, the earlier one first
-    (lo, end0), (start1, end1) = sorted(
-        (first, first + len(block).bit_length() - 2) for block, first in (a, b)
-    )
+    (lo, end0), (start1, end1) = sorted(_span(*block) for block in (a, b))
     gap = max(0, start1 - end0 - 1)
     width = max(end0, end1) - lo + 1 - gap
     x, y = (
@@ -225,7 +233,12 @@ def _relation_report(
     k = len(blocks)
     for i in range(1, k + 1):
         for j in range(i + 2, k + 1):
-            r = _pair_residual(blocks[i - 1], blocks[j - 1], strands, lambda a, b: a @ b)
+            x, y = blocks[i - 1], blocks[j - 1]
+            (_, end0), (start1, _) = sorted((_span(*x), _span(*y)))
+            if end0 < start1:  # blocks on disjoint qubits commute exactly, with no rounding
+                r = 0.0
+            else:
+                r = _pair_residual(x, y, strands, lambda a, b: a @ b)
             far.append((i, j, r))
     for i in range(1, k):
         r = _pair_residual(blocks[i - 1], blocks[i], strands, lambda a, b: a @ b @ a)
@@ -402,8 +415,8 @@ def _fused_steps(rep: Representation, codes: list[int]):
     """
     n = rep.strands
     spans = {}  # signed index -> (first qubit, last qubit) of its block
-    for i, (block, first) in enumerate(rep.blocks, start=1):
-        spans[i] = spans[-i] = (first, first + len(block).bit_length() - 2)
+    for i, block in enumerate(rep.blocks, start=1):
+        spans[i] = spans[-i] = _span(*block)
     groups: list[list] = []  # [first qubit, last qubit, signed indices]
     latest = [-1] * (n + 1)  # latest[q]: the index of the latest group holding qubit q
     for c in codes:
@@ -437,8 +450,9 @@ def _fold(
 ) -> np.ndarray | None:
     """Continue the transposed product ``p`` (None: the identity) over letters[lo:hi].
 
-    On a whole-register representation a stretch of at least three whole
-    segments goes through ``_fold_segments`` first; shorter stretches, and
+    A stretch of at least three whole segments is freely reduced first.  On
+    a whole-register representation a reduced stretch that still holds three
+    whole segments goes through ``_fold_segments``; shorter stretches, and
     the tail, take one step per letter (the batched fold costs more than the
     letter loop below about 700 letters).  On local blocks the letters take
     one step per fused group (``_fused_steps``).
@@ -447,6 +461,8 @@ def _fold(
         return p
     d = rep.dimension
     codes = [letter.sign * letter.index for letter in letters[lo:hi]]
+    if len(codes) >= 3 * SEGMENT:
+        codes = free_reduce_codes(codes)
     whole = all(len(block) == d for block, _ in rep.blocks)
     folded = 0
     if len(codes) >= 3 * SEGMENT and whole:
@@ -475,20 +491,13 @@ def _product(rep: Representation, letters, runs, lo: int, hi: int) -> np.ndarray
     count; the letters around such runs are folded.
     """
     d = rep.dimension
-    p, at, i = None, lo, 0
-    while i < len(runs):
-        start, period, count = runs[i]
-        stop = start + period * count
-        j = i + 1
-        while j < len(runs) and runs[j][0] < stop:  # the runs nested in this one
-            j += 1
-        if stop - start > SEGMENT:
-            p = _fold(rep, letters, at, start, p)
-            q = _product(rep, letters, runs[i + 1 : j], start, start + period)
-            q = np.linalg.matrix_power(q.reshape(d, d), count)  # by repeated squaring
-            p = q if p is None else q @ p.reshape(d, d)
-            at = stop
-        i = j
+    p, at = None, lo
+    for start, period, count, inner in outer_runs(runs, SEGMENT):
+        p = _fold(rep, letters, at, start, p)
+        q = _product(rep, letters, inner, start, start + period)
+        q = np.linalg.matrix_power(q.reshape(d, d), count)  # by repeated squaring
+        p = q if p is None else q @ p.reshape(d, d)
+        at = start + period * count
     return _fold(rep, letters, at, hi, p)
 
 
@@ -503,9 +512,11 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     groups of at most WINDOW qubits, each group costing one d^2 * 8 pass
     plus one 8 x 8 matmul per letter.  A power run of more than SEGMENT
     letters (``word.powers``) costs one period's product and about
-    2 log2(count) matmuls.  On whole-register representations a stretch of
-    at least three whole segments between such runs is folded segment by
-    segment, and a word of at most SEGMENT letters is multiplied out one
+    2 log2(count) matmuls.  A stretch of at least three whole segments
+    between such runs is freely reduced first, so its cancelling
+    ``s_i s_i^-1`` pairs cost nothing; on whole-register representations a
+    reduced stretch that still holds three whole segments is folded segment
+    by segment.  A word of at most SEGMENT letters is multiplied out one
     letter after another.
     """
     if word.strands != rep.strands:

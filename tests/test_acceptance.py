@@ -23,6 +23,7 @@ from braident.braids import (
     parse_braid_word,
     permutation_image,
 )
+from braident.cli import LU_DEMO_FACTOR
 from braident.entanglement import (
     concurrence_mixed2,
     residual_profile,
@@ -52,7 +53,6 @@ from braident.states import (
 
 BORROMEAN = "(s1 s2^-1)^3"
 NUS = "(s1 s2)^3"
-LOCAL_FACTOR = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
 
 
 def verdict(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -158,8 +158,8 @@ def test_c5_residual_profiles():
 def test_c6_local_unitary_equivalence():
     ghz = named_state("ghz")
     phi = named_state("phi")
-    plus = apply_local(ghz, [LOCAL_FACTOR] * 3)
-    minus = apply_local(ghz, [-LOCAL_FACTOR] * 3)
+    plus = apply_local(ghz, [LU_DEMO_FACTOR] * 3)
+    minus = apply_local(ghz, [-LU_DEMO_FACTOR] * 3)
     closed_form = np.array(
         [(1 + (-1) ** bin(i).count("1")) / 4 for i in range(8)], dtype=complex
     )

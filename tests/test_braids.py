@@ -1,9 +1,12 @@
 import gc
+import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from braident import braids
 from braident.braids import (
     BraidWord,
     GeneratorLetter,
@@ -19,6 +22,7 @@ from braident.braids import (
     render_braid_word,
     shared_letter,
 )
+from braident.links import summarize_closure
 
 BORROMEAN_TEXT = "s1 s2^-1 s1 s2^-1 s1 s2^-1"
 NUS_TEXT = "(s1 s2)^3"
@@ -176,6 +180,100 @@ class TestParser:
             assert letter is shared_letter(letter.index, letter.sign)
 
 
+@st.composite
+def flat_texts(draw, strands=3):
+    """Generators with an optional ^-1, any spacing, s or σ, up to three digits."""
+    parts = [draw(SEPARATORS)]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        index = draw(st.integers(min_value=1, max_value=strands - 1))
+        width = draw(st.integers(min_value=1, max_value=3))  # leading zeros
+        parts.append(f"{draw(st.sampled_from('sσ'))}{index:0{width}d}")
+        if draw(st.booleans()):
+            parts.append(f"{draw(SEPARATORS)}^-1")
+        parts.append(draw(SEPARATORS))
+    return "".join(parts)
+
+
+def grammar_parse(text, strands):
+    """The tokenizer and grammar alone, without the flat-text pass."""
+    letters, runs, _ = braids._parse_sequence(braids._tokenize(text), 0, 0, strands)
+    return BraidWord(strands, tuple(letters))
+
+
+def outcome(parse, text, strands):
+    try:
+        return parse(text, strands)
+    except WordSyntaxError as err:
+        return str(err), err.position
+
+
+class TestFlatText:
+    """Flat text is read in one regex pass and gives what the grammar gives."""
+
+    @given(
+        st.integers(min_value=2, max_value=9).flatmap(
+            lambda n: st.tuples(st.just(n), flat_texts(n))
+        )
+    )
+    def test_fast_path_matches_the_grammar(self, case):
+        n, text = case
+        assert braids._flat_letters(text, n) is not None
+        word = parse_braid_word(text, n)
+        assert word == parse_braid_word("(" + text + ")", n)  # a group takes the grammar
+        assert word.powers == ()
+        assert all(letter is shared_letter(letter.index, letter.sign) for letter in word.letters)
+
+    @given(st.text(alphabet="sσ0123^-+() \t\u3000x", max_size=30))
+    def test_any_text_parses_as_the_grammar_does(self, text):
+        assert outcome(parse_braid_word, text, 3) == outcome(grammar_parse, text, 3)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("s0", 0),
+            ("s1234", 0),
+            ("s1^-12", None),
+            ("s1^-1^-1", 5),
+            ("s1 s3", 3),
+            ("s2 σ003^-1", 3),
+            ("s1 ^-1 s0002", None),
+            ("s1^-1 x", 6),
+            ("s1 ^ -1", 3),
+            ("s1^+1 s2", None),
+        ],
+    )
+    def test_flat_looking_texts_parse_as_the_grammar_does(self, text, position):
+        result = outcome(parse_braid_word, text, 3)
+        assert result == outcome(grammar_parse, text, 3)
+        if position is None:
+            assert isinstance(result, BraidWord)
+        else:
+            assert result[1] == position
+
+    def test_letter_cap_error_comes_from_the_grammar(self, monkeypatch):
+        monkeypatch.setattr(braids, "MAX_WORD_LETTERS", 5)
+        assert len(parse_braid_word("s1 " * 5, 3)) == 5
+        with pytest.raises(WordSyntaxError, match="past 5 letters") as err:
+            parse_braid_word("s1 " * 6, 3)
+        assert err.value.position == 15
+
+    def test_long_text_keeps_no_state_per_letter(self):
+        rng = random.Random(7)
+        text = " ".join(f"s{rng.randint(1, 2)}{rng.choice(['', '^-1'])}" for _ in range(10**5))
+        parse_braid_word(text, 3)  # fills the shared-letter cache outside the measurement
+        tracemalloc.start()
+        try:
+            word = parse_braid_word(text, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(word) == 10**5
+        # Measured 5.1 MB: the match list, the inverse letters' match strings and
+        # the letters as a list and a tuple.  The tokenizer path takes 17.7 MB,
+        # and a flatness test by a backtracking fullmatch 43 MB.
+        assert peak < 8 * 10**6
+
+
 class TestPowerRuns:
     """``BraidWord.powers``: the runs a parsed word's ``^k`` tokens wrote."""
 
@@ -217,6 +315,19 @@ class TestPowerRuns:
         flat = BraidWord(3, letters)
         assert word == flat
         assert hash(word) == hash(flat)
+
+    @given(st.sampled_from([3, 5]).flatmap(lambda n: st.tuples(st.just(n), word_texts(strands=n))))
+    @example((3, "(s1 s2^-1)^3"))
+    @example((3, "(s1 s2^-1)^6"))
+    @example((3, "s2 (s1 s1^-1)^2 s2^-1 (s1 s2^-1)^3 s2 s2^-1"))
+    @example((5, "((s1 s2 s3^-1)^1000 s4)^-7 s2"))
+    def test_runs_give_the_images_of_the_letters(self, case):
+        n, text = case
+        word = parse_braid_word(text, n)
+        flat = BraidWord(n, word.letters)
+        assert permutation_image(word) == permutation_image(flat)
+        assert exponent_sum(word) == exponent_sum(flat)
+        assert summarize_closure(word) == summarize_closure(flat)
 
 
 class TestWordAlgebra:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from braident.cli import _jsonable
+from braident.cli import LU_DEMO_FACTOR, _jsonable
 from braident.entanglement import (
     concurrence_mixed2,
     concurrence_pure2,
@@ -22,7 +22,6 @@ from braident.states import (
     partial_trace,
 )
 
-LOCAL_FACTOR = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
 
 
 def random_state(rng, qubits):
@@ -230,7 +229,7 @@ class TestLocalUnitaryBehavior:
         # the same local rotation that preserves every measure flips the
         # profile concurrence pattern from all-zero to all-one
         ghz_profile = residual_profile(named_state("ghz"))
-        rotated = apply_local(named_state("ghz"), [LOCAL_FACTOR] * 3)
+        rotated = apply_local(named_state("ghz"), [LU_DEMO_FACTOR] * 3)
         rotated_profile = residual_profile(rotated)
         assert all(e.concurrence == pytest.approx(0.0, abs=1e-10) for e in ghz_profile.entries)
         assert all(

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from braident import links
 from braident.braids import (
     BraidWord,
     GeneratorLetter,
     concat,
+    free_reduce,
     identity_word,
     parse_braid_word,
 )
@@ -86,6 +90,53 @@ class TestSummarizeClosure:
         word = parse_braid_word(BORROMEAN_TEXT, 3)
         padded = concat(word, parse_braid_word("s2 s2^-1", 3))
         assert summarize_closure(padded).components == summarize_closure(word).components
+
+
+def named_by_reduction(word):
+    """The registered name of the freely reduced word, found without the count filter."""
+    reduced = free_reduce(word)
+    return next((n for n, w in links._REGISTERED_WORDS.items() if w == reduced), None)
+
+
+class TestNamedWordFilter:
+    """Only words whose signed generator counts match a registered word's are reduced."""
+
+    @pytest.mark.parametrize(
+        "text,name",
+        [
+            ("(s1 s2^-1)^3", "borromean_word"),
+            ("(s1 s2^-1)^6", None),
+            ("(s1 s2)^3", "nus_word"),
+            ("s2 (s1 s1^-1)^2 s2^-1 (s1 s2^-1)^3 s2 s2^-1", "borromean_word"),
+            ("(s1 s2^-1)^2 s1 s1 s1^-1 s2^-1", "borromean_word"),
+            ("s1 s1 s1 s2^-1 s2^-1 s2^-1", None),  # the counts match, the letters do not
+        ],
+    )
+    def test_runs_and_padding(self, text, name):
+        word = parse_braid_word(text, 3)
+        assert summarize_closure(word).named_match == name == named_by_reduction(word)
+        assert summarize_closure(BraidWord(3, word.letters)) == summarize_closure(word)
+
+    @given(
+        st.sampled_from(sorted(links._REGISTERED_WORDS)),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=8),
+                st.integers(min_value=1, max_value=2),
+                st.sampled_from([1, -1]),
+            ),
+            max_size=5,
+        ),
+    )
+    def test_padded_registered_words_keep_their_name(self, name, pads):
+        registered = links._REGISTERED_WORDS[name]
+        letters = list(registered.letters)
+        for at, index, sign in pads:
+            letter = GeneratorLetter(min(index, registered.strands - 1), sign)
+            at %= len(letters) + 1
+            letters[at:at] = [letter, letter.inverse()]
+        word = BraidWord(registered.strands, tuple(letters))
+        assert summarize_closure(word).named_match == name == named_by_reduction(word)
 
 
 class TestRenderBraidAscii:

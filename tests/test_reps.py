@@ -256,6 +256,27 @@ class TestBlockEvaluation:
                 expected = written_order_product(rep.generator_images, word, rep.dimension)
                 assert evaluate(rep, word).tobytes() == expected.tobytes()
 
+    def test_disjoint_far_pairs_are_not_placed(self, monkeypatch):
+        placed = []
+        pair = reps._pair_residual
+        monkeypatch.setattr(
+            reps, "_pair_residual", lambda *args: placed.append(args) or pair(*args)
+        )
+        report = generic_rep(haar_unitary(4, np.random.default_rng(310)), 8).relation_report
+        assert len(report.far_commutation_residuals) == 15
+        assert len(placed) == len(report.braiding_residuals) == 6
+
+    def test_overlapping_far_pairs_are_measured(self):
+        rng = np.random.default_rng(320)
+        images = dense_images(haar_unitary(4, rng), 4)
+        third = haar_unitary(16, rng)
+        blocks = ((images[0], 1), (images[1], 1), (third, 1))  # all on the whole register
+        report = reps._relation_report(blocks, 4, 1e-10)
+        ((i, j, r),) = report.far_commutation_residuals
+        assert (i, j) == (1, 3)
+        dense = np.linalg.norm(images[0] @ third - third @ images[0])
+        assert dense > 1 and abs(r - dense) <= 1e-12 * dense
+
     def test_unitarity_is_checked_at_register_scale(self):
         # ||U U^dag - I||_F = 2e-11 passes on its own, but the image on
         # 8 strands repeats that defect 64 times: sqrt(64) * 2e-11 > 1e-10
@@ -308,6 +329,61 @@ class TestSegmentFold:
         word = random_word(rng, 5, length=SEGMENT + 60)
         expected = written_order_product(dense_images(u, 5), word, 32)
         assert np.max(np.abs(evaluate(generic_rep(u, 5), word) - expected)) < 1e-12
+
+
+def unitarity_drift(m):
+    return np.linalg.norm(m @ m.conj().T - np.eye(len(m)))
+
+
+class TestReducedFold:
+    """Stretches of at least 3 SEGMENT letters are freely reduced before the fold."""
+
+    REPS = None
+
+    @classmethod
+    def setup_class(cls):
+        cls.REPS = [b2_rep(1.0), ge_rep(0.37), jones_rep()]
+
+    def test_long_literal_words_match_the_dense_product(self, monkeypatch):
+        rng = np.random.default_rng(530)
+        for rep in self.REPS:
+            word = random_word(rng, rep.strands, length=8 * SEGMENT)
+            product = evaluate(rep, word)
+            expected = written_order_product(rep.generator_images, word, rep.dimension)
+            assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
+            with monkeypatch.context() as m:
+                m.setattr(reps, "free_reduce_codes", list)  # every written letter multiplied
+                unreduced = evaluate(rep, word)
+            assert unitarity_drift(product) <= unitarity_drift(unreduced)
+
+    def test_fold_takes_the_reduced_letters(self, monkeypatch):
+        folded = []
+        fold = reps._fold_segments
+        monkeypatch.setattr(
+            reps, "_fold_segments", lambda rep, codes: folded.append(len(codes)) or fold(rep, codes)
+        )
+        rng = np.random.default_rng(540)
+        rep = jones_rep()
+        word = random_word(rng, 3, length=8 * SEGMENT)
+        reduced = free_reduce(word)
+        assert len(reduced) >= 3 * SEGMENT
+        product = evaluate(rep, word)
+        assert folded == [len(reduced) // SEGMENT * SEGMENT]
+        assert product.tobytes() == evaluate(rep, reduced).tobytes()
+
+    def test_a_word_that_reduces_below_three_segments_takes_the_letter_loop(self, monkeypatch):
+        folded = []
+        monkeypatch.setattr(reps, "_fold_segments", lambda rep, codes: folded.append(codes))
+        rng = np.random.default_rng(550)
+        for rep in self.REPS:
+            w = random_word(rng, rep.strands, length=2 * SEGMENT)
+            tail = random_word(rng, rep.strands, length=3 * SEGMENT - 1)
+            word = concat(concat(w, inverse(w)), tail)
+            assert free_reduce(word) == free_reduce(tail)
+            product = evaluate(rep, word)
+            expected = written_order_product(rep.generator_images, free_reduce(tail), rep.dimension)
+            assert product.tobytes() == expected.tobytes()
+        assert folded == []
 
 
 POWERED_WORDS = [

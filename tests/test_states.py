@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from braident.braids import parse_braid_word
-from braident.cli import _jsonable, state_from_json
+from braident.cli import LU_DEMO_FACTOR, _jsonable, state_from_json
 from braident.linalg import haar_unitary
 from braident.reps import b2_rep, evaluate, ge_rep, jones_rep
 from braident.states import (
@@ -21,7 +21,6 @@ from braident.states import (
 )
 
 I2 = np.eye(2, dtype=complex)
-LOCAL_FACTOR = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
 
 
 def random_state(rng, qubits):
@@ -243,9 +242,9 @@ class TestApplyLocal:
     def test_ghz_maps_onto_phi(self):
         # (f (x) f (x) f)|ghz> lands exactly on +|phi>: a weight-k basis state
         # gets (1 + (-1)^k)/4; -f, f up to a global phase, gives -|phi>
-        out = apply_local(named_state("ghz"), [LOCAL_FACTOR] * 3)
+        out = apply_local(named_state("ghz"), [LU_DEMO_FACTOR] * 3)
         assert np.allclose(out.amplitudes, named_state("phi").amplitudes, atol=1e-12)
-        out = apply_local(named_state("ghz"), [-LOCAL_FACTOR] * 3)
+        out = apply_local(named_state("ghz"), [-LU_DEMO_FACTOR] * 3)
         assert np.allclose(out.amplitudes, -named_state("phi").amplitudes, atol=1e-12)
 
     def test_identity_factors(self):
@@ -254,7 +253,7 @@ class TestApplyLocal:
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_product_state_superposition_signs(self):
-        out = apply_local(basis_state("000"), [LOCAL_FACTOR] * 3)
+        out = apply_local(basis_state("000"), [LU_DEMO_FACTOR] * 3)
         expected = np.array(
             [(-1) ** bin(i).count("1") for i in range(8)], dtype=complex
         ) / (2 * np.sqrt(2))
