@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    DensityMatrix,
-    ImpossibleOutcomeError,
-    PureState,
-    measure_qubit,
-)
+from .states import DensityMatrix, PureState, _branch
 
 _EIG_FLOOR = 1e-14
 
@@ -57,7 +52,10 @@ def concurrence_pure2(state: PureState) -> float:
     """Concurrence 2|a00 a11 - a01 a10| of a pure two-qubit state."""
     if state.qubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {state.qubits} qubits")
-    a = state.amplitudes
+    return _concurrence(state.amplitudes)
+
+
+def _concurrence(a: np.ndarray) -> float:
     return float(2.0 * abs(a[0] * a[3] - a[1] * a[2]))
 
 
@@ -65,7 +63,7 @@ def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     values, vectors = np.linalg.eigh(matrix)
     # descending order; ascending changes the 1e-16 noise in the JSON outputs
     values, vectors = values[::-1], vectors[:, ::-1]
-    return vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
 
 
 def concurrence_mixed2(dm: DensityMatrix) -> float:
@@ -150,24 +148,19 @@ def residual_profile(state: PureState) -> ResidualProfile:
     """Probability and post-measurement concurrence for every (qubit, outcome).
 
     Impossible branches are recorded with probability 0 and concurrence None
-    instead of raising, so profiles of basis states are total.
+    instead of raising, so profiles of basis states are total.  The values
+    are those of ``measure_qubit`` and ``concurrence_pure2``, read from the
+    normalized branch amplitudes without building a post-measurement
+    ``PureState`` per branch.
     """
     if state.qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {state.qubits} qubits")
     entries = []
     for qubit in (1, 2, 3):
         for outcome in (0, 1):
-            try:
-                result = measure_qubit(state, qubit, outcome)
-            except ImpossibleOutcomeError:
+            probability, branch = _branch(state, qubit, outcome)
+            if branch is None:
                 entries.append(ProfileEntry(qubit, outcome, 0.0, None))
-                continue
-            entries.append(
-                ProfileEntry(
-                    qubit,
-                    outcome,
-                    result.probability,
-                    concurrence_pure2(result.post_state),
-                )
-            )
+            else:
+                entries.append(ProfileEntry(qubit, outcome, probability, _concurrence(branch)))
     return ResidualProfile(tuple(entries))

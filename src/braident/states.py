@@ -9,8 +9,7 @@ renormalized state on the remaining ones.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,12 +58,17 @@ class DensityMatrix:
     The constructor checks the shape, that every entry is finite, and all
     three properties, each within NORM_TOL; positivity takes a full
     Hermitian eigensolve, O(d^3).
+
     ``density`` builds the projector of a pure state, positive semidefinite
-    by construction, without these checks.
+    by construction, without these checks, and ``partial_trace`` reduces such
+    a projector without them too; ``_from_projector`` marks both.  Every other
+    matrix, and every reduction of one, goes through the checks.  The mark
+    takes no part in comparison or repr.
     """
 
     qubits: int
     matrix: np.ndarray
+    _from_projector: bool = field(init=False, default=False, compare=False, repr=False)
 
     def __post_init__(self):
         dim = 2**self.qubits
@@ -133,6 +137,20 @@ def apply(operator, state: PureState) -> PureState:
     return PureState(state.qubits, out / norm)
 
 
+def _branch(state: PureState, k: int, outcome: int) -> tuple[float, np.ndarray | None]:
+    """Probability of ``outcome`` on qubit k and the normalized branch amplitudes.
+
+    The branch is None when the probability is below PROB_FLOOR; otherwise
+    the probability is clamped to [0, 1].  Arguments are not checked.
+    """
+    branch = state.amplitudes.reshape([2] * state.qubits).take(outcome, axis=k - 1).reshape(-1)
+    probability = float(np.linalg.norm(branch) ** 2)
+    if probability < PROB_FLOOR:
+        return probability, None
+    probability = min(max(probability, 0.0), 1.0)
+    return probability, branch / np.sqrt(probability)
+
+
 def measure_qubit(state: PureState, k: int, outcome: int) -> MeasurementOutcome:
     """Project qubit k onto |outcome> and drop it from the register.
 
@@ -147,15 +165,12 @@ def measure_qubit(state: PureState, k: int, outcome: int) -> MeasurementOutcome:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    branch = state.amplitudes.reshape([2] * n).take(outcome, axis=k - 1).reshape(-1)
-    probability = float(np.linalg.norm(branch) ** 2)
-    if probability < PROB_FLOOR:
+    probability, branch = _branch(state, k, outcome)
+    if branch is None:
         raise ImpossibleOutcomeError(
             f"outcome {outcome} on qubit {k} has probability {probability:.3e}"
         )
-    probability = min(max(probability, 0.0), 1.0)
-    post = PureState(n - 1, branch / np.sqrt(probability))
-    return MeasurementOutcome(probability, post)
+    return MeasurementOutcome(probability, PureState(n - 1, branch))
 
 
 def density(state: PureState) -> DensityMatrix:
@@ -165,21 +180,37 @@ def density(state: PureState) -> DensityMatrix:
     positive semidefinite by construction, so none of the constructor's
     checks is repeated.  A norm within NORM_TOL of 1 can still leave
     <psi|psi> = tr(psi psi^dag) off 1 by more than NORM_TOL; only then is
-    the outer product divided by its trace.
+    the outer product divided by its trace.  The result is marked
+    ``_from_projector``, so ``partial_trace`` skips the checks on its
+    reductions as well.
     """
     a = state.amplitudes
     m = np.outer(a, a.conj())
     trace = np.trace(m).real
     if abs(trace - 1.0) > NORM_TOL:
         m /= trace
+    return _projector_density(state.qubits, m)
+
+
+def _projector_density(qubits: int, m: np.ndarray) -> DensityMatrix:
+    """A ``_from_projector`` DensityMatrix on ``m``, without the constructor's checks."""
     rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "qubits", state.qubits)
+    object.__setattr__(rho, "qubits", qubits)
     object.__setattr__(rho, "matrix", _freeze(m))
+    object.__setattr__(rho, "_from_projector", True)
     return rho
 
 
 def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the kept qubits (ascending original order)."""
+    """Reduced state on the kept qubits (ascending original order).
+
+    The reduction of a ``_from_projector`` matrix is marked too and skips the
+    constructor's checks: each entry of psi psi^dag is the exact complex
+    conjugate of its transpose in IEEE arithmetic, so every partial sum of
+    them is exactly Hermitian, and a partial trace keeps the unit trace and
+    positivity.  Any other matrix's reduction is checked in full, since
+    rounding can grow its Hermitian gap under the trace.
+    """
     n = dm.qubits
     kept = sorted(set(keep))
     if not kept:
@@ -192,13 +223,19 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
     out = [letters[i] for i in range(n) if (i + 1) in kept]
     out += [letters[n + i] for i in range(n) if (i + 1) in kept]
     subscript = "".join(bra) + "".join(ket) + "->" + "".join(out)
-    reduced = np.einsum(subscript, dm.matrix.reshape([2] * (2 * n)))
     dim = 2 ** len(kept)
-    return DensityMatrix(len(kept), reduced.reshape(dim, dim))
+    reduced = np.einsum(subscript, dm.matrix.reshape([2] * (2 * n))).reshape(dim, dim)
+    if dm._from_projector:
+        return _projector_density(len(kept), reduced)
+    return DensityMatrix(len(kept), reduced)
 
 
 def apply_local(state: PureState, factors) -> PureState:
-    """Apply a tensor product of single-qubit unitaries, factor i to qubit i."""
+    """Apply a tensor product of single-qubit unitaries, factor i to qubit i.
+
+    The product is formed left to right with one broadcast multiply per
+    factor, the same products ``np.kron`` takes.
+    """
     factors = [np.asarray(f, dtype=complex) for f in factors]
     if len(factors) != state.qubits:
         raise ValueError(
@@ -209,4 +246,8 @@ def apply_local(state: PureState, factors) -> PureState:
             raise ValueError(f"factor {i} has shape {f.shape}, expected (2, 2)")
         if not is_unitary(f, NORM_TOL):
             raise ValueError(f"factor {i} is not unitary within tolerance")
-    return apply(reduce(np.kron, factors), state)
+    product = factors[0]
+    for f in factors[1:]:
+        k = 2 * len(product)
+        product = (product[:, None, :, None] * f[None, :, None, :]).reshape(k, k)
+    return apply(product, state)

@@ -5,6 +5,8 @@ import pytest
 
 from braident.cli import LU_DEMO_FACTOR, _jsonable
 from braident.entanglement import (
+    ProfileEntry,
+    ResidualProfile,
     concurrence_mixed2,
     concurrence_pure2,
     residual_profile,
@@ -14,10 +16,12 @@ from braident.entanglement import (
 )
 from braident.linalg import haar_unitary
 from braident.states import (
+    ImpossibleOutcomeError,
     PureState,
     apply_local,
     basis_state,
     density,
+    measure_qubit,
     named_state,
     partial_trace,
 )
@@ -33,6 +37,30 @@ def w_state():
     amps = np.zeros(8, dtype=complex)
     amps[[0b001, 0b010, 0b100]] = 1 / np.sqrt(3)
     return PureState(3, amps)
+
+
+def profile_test_states():
+    """Named, basis, Haar-random and local-unitary-image three-qubit states.
+
+    The diagonal images of basis states keep their impossible branches, and
+    two hand-made states put a branch just below and just above the 1e-12
+    probability floor.
+    """
+    rng = np.random.default_rng(83)
+    states = [named_state("ghz"), named_state("phi")]
+    states += [basis_state(format(i, "03b")) for i in range(8)]
+    states += [random_state(rng, 3) for _ in range(300)]
+    for i in range(250):
+        seed = named_state("ghz" if i % 2 else "phi")
+        states.append(apply_local(seed, [haar_unitary(2, rng) for _ in range(3)]))
+    for i in range(40):
+        phases = [np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))) for _ in range(3)]
+        states.append(apply_local(basis_state(format(i % 8, "03b")), phases))
+    for tiny in (1e-13, 1e-11):
+        amps = np.zeros(8, dtype=complex)
+        amps[0b000], amps[0b111] = np.sqrt(1 - tiny), np.sqrt(tiny)
+        states.append(PureState(3, amps))
+    return states
 
 
 def residual_tangle_oracle(state):
@@ -89,6 +117,24 @@ class TestMixedConcurrence:
     def test_qubit_count_enforced(self):
         with pytest.raises(ValueError, match="2-qubit"):
             concurrence_mixed2(density(named_state("ghz")))
+
+
+    def test_matches_the_diagonal_product_square_root(self):
+        def reference(dm):
+            # sqrt(rho) as V diag(sqrt(values)) V^dag, eigenvalues descending
+            values, vectors = np.linalg.eigh(dm.matrix)
+            values, vectors = values[::-1], vectors[:, ::-1]
+            root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+            lam = np.linalg.svd(root @ YY @ root.conj(), compute_uv=False)
+            return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+        yy = np.array([[0, -1j], [1j, 0]])
+        YY = np.kron(yy, yy)
+        for state in profile_test_states():
+            rho = density(state)
+            for pair in ({1, 2}, {1, 3}, {2, 3}):
+                reduced = partial_trace(rho, pair)
+                assert concurrence_mixed2(reduced) == reference(reduced)
 
 
 class TestEntropy:
@@ -194,6 +240,30 @@ class TestResidualProfile:
                     e.probability for e in profile.entries if e.qubit == qubit
                 )
                 assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_matches_measure_qubit_bit_for_bit(self):
+        def reference(state):
+            # one measure_qubit and one concurrence_pure2 per branch
+            entries = []
+            for qubit in (1, 2, 3):
+                for outcome in (0, 1):
+                    try:
+                        result = measure_qubit(state, qubit, outcome)
+                    except ImpossibleOutcomeError:
+                        entries.append(ProfileEntry(qubit, outcome, 0.0, None))
+                        continue
+                    concurrence = concurrence_pure2(result.post_state)
+                    entries.append(ProfileEntry(qubit, outcome, result.probability, concurrence))
+            return ResidualProfile(tuple(entries))
+
+        states = profile_test_states()
+        assert len(states) >= 500
+        impossible = 0
+        for state in states:
+            profile = residual_profile(state)
+            assert profile == reference(state)
+            impossible += sum(e.concurrence is None for e in profile.entries)
+        assert impossible > 0
 
     def test_json_schema(self):
         entries = residual_profile(basis_state("000")).entries

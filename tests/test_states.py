@@ -1,4 +1,7 @@
+import dataclasses
 import json
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,6 +29,15 @@ I2 = np.eye(2, dtype=complex)
 def random_state(rng, qubits):
     amps = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
     return PureState(qubits, amps / np.linalg.norm(amps))
+
+
+def keep_sets(qubits):
+    """Every nonempty subset of 1..qubits."""
+    return [
+        set(keep)
+        for size in range(1, qubits + 1)
+        for keep in combinations(range(1, qubits + 1), size)
+    ]
 
 
 class TestConstruction:
@@ -228,6 +240,50 @@ class TestDensityAndPartialTrace:
             staged = partial_trace(partial_trace(rho, {1, 2}), {2})
             assert np.allclose(direct.matrix, staged.matrix, atol=1e-12)
 
+    @pytest.mark.parametrize("qubits", range(1, 7))
+    def test_projector_reductions_are_valid_and_match_the_checked_path(self, qubits):
+        # reductions of density(psi) skip the constructor's checks; the
+        # constructor accepts them, and they equal the checked path's bit for bit
+        rng = np.random.default_rng(60 + qubits)
+        for _ in range(2):
+            rho = density(random_state(rng, qubits))
+            checked = DensityMatrix(qubits, rho.matrix)
+            for keep in keep_sets(qubits):
+                reduced = partial_trace(rho, keep)
+                reduced_checked = partial_trace(checked, keep)
+                assert reduced._from_projector and not reduced_checked._from_projector
+                assert np.array_equal(reduced.matrix, reduced_checked.matrix)
+                DensityMatrix(reduced.qubits, reduced.matrix)
+                assert not reduced.matrix.flags.writeable
+                for inner in keep_sets(reduced.qubits):
+                    chained = partial_trace(reduced, inner)
+                    chained_checked = partial_trace(reduced_checked, inner)
+                    assert chained._from_projector
+                    assert np.array_equal(chained.matrix, chained_checked.matrix)
+                    DensityMatrix(chained.qubits, chained.matrix)
+
+    def test_direct_matrix_reductions_keep_their_checks(self):
+        # the Hermitian gap, 8.5e-11, is inside NORM_TOL; tracing out qubits 2
+        # and 3 sums four 3e-11 entries into one, and the gap grows to 1.7e-10
+        off_diagonal = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(4))
+        matrix = density(named_state("ghz")).matrix + 3e-11 * off_diagonal
+        direct = DensityMatrix(3, matrix)
+        assert not direct._from_projector
+        with pytest.raises(ValueError, match="not Hermitian"):
+            partial_trace(direct, {1})
+        with pytest.raises(ValueError, match="not Hermitian"):
+            partial_trace(direct, {1, 2})
+        assert partial_trace(direct, {2, 3}).matrix.shape == (4, 4)
+
+    def test_projector_mark_is_outside_comparison_and_repr(self):
+        mark = {f.name: f for f in dataclasses.fields(DensityMatrix)}["_from_projector"]
+        assert (mark.init, mark.compare, mark.repr) == (False, False, False)
+        rho = density(named_state("phi"))
+        for derived in (rho, partial_trace(rho, {1, 3}), partial_trace(rho, {2})):
+            direct = DensityMatrix(derived.qubits, derived.matrix)
+            assert repr(derived) == repr(direct)
+            assert derived.matrix.tobytes() == direct.matrix.tobytes()
+
     def test_keep_set_validation(self):
         rho = density(named_state("ghz"))
         with pytest.raises(ValueError, match="nonempty"):
@@ -265,6 +321,18 @@ class TestApplyLocal:
             factors = [haar_unitary(2, rng) for _ in range(3)]
             out = apply_local(random_state(rng, 3), factors)
             assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_the_kron_product_bit_for_bit(self):
+        # the reference is apply(reduce(np.kron, factors), state)
+        rng = np.random.default_rng(43)
+        cases = [(named_state("ghz"), [LU_DEMO_FACTOR] * 3), (basis_state("101"), [I2] * 3)]
+        for qubits in (1, 2, 3, 3, 4, 5):
+            for _ in range(100):
+                state = random_state(rng, qubits)
+                cases.append((state, [haar_unitary(2, rng) for _ in range(qubits)]))
+        for state, factors in cases:
+            expected = apply(reduce(np.kron, factors), state)
+            assert np.array_equal(apply_local(state, factors).amplitudes, expected.amplitudes)
 
     def test_factor_validation(self):
         with pytest.raises(ValueError, match="factors"):
