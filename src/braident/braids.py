@@ -13,9 +13,10 @@ Both the ASCII spelling ``s1`` and the Unicode ``σ1`` are accepted; the
 renderer always emits ASCII.  Powers expand eagerly, so the letters of a parsed
 word are stored flat; ``(w)^-k`` expands to the reversed word with flipped signs
 repeated k times.  The parser also records every ``^k`` with |k| >= 2 as a run
-in ``BraidWord.powers``, so evaluation can raise a long run's period to its
-power instead of multiplying out its letters.  Runs are a hint about the
-letters, not part of the word: equality, hashing and rendering ignore them.
+in ``BraidWord.powers``, a tree in which each run holds the runs of its first
+period, so evaluation can raise a long run's period to its power instead of
+multiplying out its letters.  Runs are a hint about the letters, not part of
+the word: equality, hashing and rendering ignore them.
 
 Flat text, meaning generators with an optional ``^-1`` and whitespace, is
 read by one regex pass; any other text, and any flat text the fast pass
@@ -80,18 +81,19 @@ class BraidWord:
     The empty letter sequence is the group identity.  Every letter index must
     be at most strands - 1.
 
-    ``powers`` lists the ``(start, period, count)`` runs of a parsed word, one
-    per ``^k`` with |k| >= 2 of a nonempty atom: ``letters[start : start +
-    period * count]`` is ``count`` copies of ``letters[start : start +
-    period]``.  Only runs inside an outer run's first period are kept, and the
-    runs are sorted by start, an outer run before the runs inside it.  Only
-    ``parse_braid_word`` sets them; every other word has none, and they take
-    no part in comparison, hashing or rendering.
+    ``powers`` holds the runs of a parsed word, one per ``^k`` with |k| >= 2
+    of a nonempty atom, as a tree.  A run ``(start, period, count, inner)``
+    is ``count`` copies of the ``period`` letters from ``start``, which
+    counts from the start of the span that holds the run: the word, or the
+    first period of the run around it.  ``inner`` holds the runs inside that
+    first period in the same form.  Only ``parse_braid_word`` sets them;
+    every other word has none, and they take no part in comparison, hashing
+    or rendering.
     """
 
     strands: int
     letters: tuple[GeneratorLetter, ...] = ()
-    powers: tuple[tuple[int, int, int], ...] = field(
+    powers: tuple[tuple[int, int, int, tuple], ...] = field(
         init=False, default=(), compare=False, repr=False
     )
 
@@ -199,29 +201,21 @@ def shared_letter(index: int, sign: int) -> GeneratorLetter:
     return GeneratorLetter(index, sign)
 
 
-def _mirrored(runs: list[tuple[int, int, int]], length: int) -> list[tuple[int, int, int]]:
+def _mirrored(runs, length: int) -> tuple:
     """The runs of ``length`` letters, as runs of the inverted letters.
 
-    Mirroring maps [s, s + p*c) to [length - s - p*c, length - s), so a run
-    nested in the first period of another lands in the last period of that
-    one's mirror image.  Every period holds the same letters, so the run
-    moves back by (count - 1) periods of each run around it.
+    Mirroring maps [s, s + p*c) to [length - s - p*c, length - s), and a
+    run's inverted first period is the mirror image of its last, which
+    holds the same letters as its first.
     """
-    out = []
-    around: list[tuple[int, int]] = []  # (stop, shift) of the runs around the current one
-    for start, period, count in runs:
-        while around and start >= around[-1][0]:
-            around.pop()
-        shift = around[-1][1] if around else 0
-        out.append((length - start - period * count - shift, period, count))
-        around.append((start + period * count, shift + (count - 1) * period))
-    out.sort(key=lambda run: (run[0], -run[1] * run[2]))  # outer runs first
-    return out
+    return tuple(
+        (length - s - p * c, p, c, _mirrored(kids, p)) for s, p, c, kids in reversed(runs)
+    )
 
 
 def _parse_sequence(
     tokens: list[tuple[int, int | None, int]], pos: int, depth: int, strands: int
-) -> tuple[list[GeneratorLetter], list[tuple[int, int, int]], int]:
+) -> tuple[list[GeneratorLetter], list[tuple], int]:
     """Letters and power runs of the items from token ``pos`` up to an unmatched
     ")" or the end, and the position of that token.
 
@@ -234,7 +228,7 @@ def _parse_sequence(
     collector runs, and in a loop of long parses those lists pile up.
     """
     letters: list[GeneratorLetter] = []
-    runs: list[tuple[int, int, int]] = []
+    runs: list[tuple] = []
     end = len(tokens)
     while pos < end:
         kind, value, at = tokens[pos]
@@ -276,11 +270,12 @@ def _parse_sequence(
                 atom = [letter.inverse() for letter in reversed(atom)]
                 k = -k
             if k > 1 and atom:
-                runs.append((len(letters), len(atom), k))
+                runs.append((len(letters), len(atom), k, tuple(inner)))
+                inner = ()  # the atom's runs now sit in the first period
             atom *= k
-        if inner:
+        if inner:  # a group with no power: its top-level runs join this span
             base = len(letters)
-            runs += [(base + s, p, c) for s, p, c in inner]
+            runs += [(base + s, p, c, kids) for s, p, c, kids in inner]
         letters += atom
     return letters, runs, pos
 
@@ -351,23 +346,6 @@ def free_reduce(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, tuple(shared_letter(abs(c), 1 if c > 0 else -1) for c in codes))
 
 
-def outer_runs(runs, longer_than: int = 0):
-    """The outermost of ``runs`` (``BraidWord.powers`` order) that span more
-    than ``longer_than`` letters, as ``(start, period, count, inner)`` with
-    ``inner`` the runs nested in the first period.  Runs nested in a run that
-    is left out are left out too."""
-    i = 0
-    while i < len(runs):
-        start, period, count = runs[i]
-        stop = start + period * count
-        j = i + 1
-        while j < len(runs) and runs[j][0] < stop:
-            j += 1
-        if stop - start > longer_than:
-            yield start, period, count, runs[i + 1 : j]
-        i = j
-
-
 def _permutation_power(moved: list[int], count: int) -> list[int]:
     """``moved`` composed with itself ``count`` times, by repeated squaring."""
     out = list(range(len(moved)))
@@ -382,6 +360,7 @@ def _permutation_power(moved: list[int], count: int) -> list[int]:
 def _walk(letters, runs, lo: int, hi: int, strands: int) -> tuple[list[int], list[int]]:
     """Where the strands of letters[lo:hi] end up, and its signed letter sums.
 
+    ``runs`` are the power runs of the span, with starts relative to ``lo``.
     Returns ``(moved, sums)``: ``moved[p]`` is the position, before the
     stretch, of the strand at position p after it, and ``sums[i]`` the signed
     count of s_i.  A run costs its first period's walk and a permutation
@@ -390,7 +369,8 @@ def _walk(letters, runs, lo: int, hi: int, strands: int) -> tuple[list[int], lis
     moved = list(range(strands))
     sums = [0] * strands
     at = lo
-    for start, period, count, inner in outer_runs(runs):
+    for start, period, count, inner in runs:
+        start += lo
         _step(letters[at:start], moved, sums)
         run_moved, run_sums = _walk(letters, inner, start, start + period, strands)
         moved = [moved[q] for q in _permutation_power(run_moved, count)]

@@ -33,7 +33,7 @@ from .entanglement import (
     three_tangle,
     vn_entropy,
 )
-from .linalg import equal_up_to_phase, haar_unitary, is_unitary
+from .linalg import equal_up_to_phase, haar_unitary
 from .links import render_braid_ascii, summarize_closure
 from .reps import (
     DEFAULT_THETA,
@@ -294,12 +294,7 @@ def _resolve_factors(args) -> tuple[list[np.ndarray], str]:
             factors = [matrix_from_json(entry) for entry in data]
         else:
             factors = [matrix_from_json(data)] * 3
-        for i, f in enumerate(factors, start=1):
-            if f.shape != (2, 2):
-                raise ValueError(f"factor {i} has shape {f.shape}, expected (2, 2)")
-            if not is_unitary(f):
-                raise ValueError(f"factor {i} is not unitary")
-        return factors, choice
+        return factors, choice  # apply_local checks each factor's shape and unitarity
     raise ValueError(
         f"unknown --factors value {choice!r} (expected default, identity, "
         "random-unitary or @file.json)"

@@ -50,13 +50,15 @@ one pass: a group of g letters costs g small matmuls plus one d^2 * 8 pass
 instead of g passes of d^2 * 4.  On a random word each pass takes about
 four letters.
 
-A parsed word's power runs (``BraidWord.powers``) of more than SEGMENT
-letters are not multiplied out letter by letter.  ``evaluate`` forms the
-product of the run's first period, itself evaluated with the runs nested in
-that period, and raises it to the run's count by repeated squaring, about
-2 log2(count) matmuls; the pieces are multiplied in written order.  A
-negative power needs no conjugate transpose, since its first period already
-holds the inverted letters.  The same holds for ``generic_rep``: at d <= 256
+A parsed word's power runs (``BraidWord.powers``, a tree in which each run
+holds the runs of its first period) of more than SEGMENT letters are not
+multiplied out letter by letter.  ``evaluate`` forms the product of the
+run's first period, itself evaluated with the runs that period holds, and
+raises it to the run's count by repeated squaring, about 2 log2(count)
+matmuls; the pieces are multiplied in written order.  A shorter run is
+folded with the letters around it, runs it holds included.  A negative power
+needs no conjugate transpose, since its first period already holds the
+inverted letters.  The same holds for ``generic_rep``: at d <= 256
 one d x d matmul costs about d/4 letter steps.
 
 A stretch of letters between such runs that holds at least three whole
@@ -91,7 +93,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .braids import BraidWord, free_reduce_codes, outer_runs
+from .braids import BraidWord, free_reduce_codes
 from .linalg import DEFAULT_TOL, equal_up_to_phase, is_unitary
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
@@ -211,17 +213,13 @@ def _pair_residual(
 ) -> float:
     """Frobenius norm of word(A, B) - word(B, A) on the register, measured on a window.
 
-    Both blocks are placed on the smallest run of qubits covering them, less
-    the identity qubits between two disjoint spans; the identity on the
-    qubits left out scales the norm by the square root of their dimension.
+    Both blocks are placed on the smallest run of qubits covering them; the
+    identity on the qubits left out scales the norm by the square root of
+    their dimension.
     """
-    # (first qubit, last qubit) of each block, the earlier one first
-    (lo, end0), (start1, end1) = sorted(_span(*block) for block in (a, b))
-    gap = max(0, start1 - end0 - 1)
-    width = max(end0, end1) - lo + 1 - gap
-    x, y = (
-        _place(block, first - lo + 1 - (gap if first > lo else 0), width) for block, first in (a, b)
-    )
+    lo = min(a[1], b[1])
+    width = max(_span(*a)[1], _span(*b)[1]) - lo + 1
+    x, y = (_place(block, first - lo + 1, width) for block, first in (a, b))
     return math.sqrt(2 ** (strands - width)) * float(np.linalg.norm(word(x, y) - word(y, x)))
 
 
@@ -485,14 +483,18 @@ def _fold(
 def _product(rep: Representation, letters, runs, lo: int, hi: int) -> np.ndarray | None:
     """The transposed product of letters[lo:hi], None for an empty stretch.
 
-    ``runs`` are the word's power runs inside [lo, hi), in ``BraidWord.powers``
-    order.  A run of more than SEGMENT letters is one period's product,
-    itself evaluated with the runs nested in that period, raised to the run's
-    count; the letters around such runs are folded.
+    ``runs`` are the power runs of the span, with starts relative to ``lo``.
+    A run of more than SEGMENT letters is one period's product, itself
+    evaluated with the runs nested in that period, raised to the run's
+    count; shorter runs, and the runs inside them, are folded with the
+    letters around them.
     """
     d = rep.dimension
     p, at = None, lo
-    for start, period, count, inner in outer_runs(runs, SEGMENT):
+    for start, period, count, inner in runs:
+        if period * count <= SEGMENT:
+            continue
+        start += lo
         p = _fold(rep, letters, at, start, p)
         q = _product(rep, letters, inner, start, start + period)
         q = np.linalg.matrix_power(q.reshape(d, d), count)  # by repeated squaring

@@ -29,9 +29,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized amplitude vector over ``qubits`` qubits."""
+    """Normalized amplitude vector over ``qubits`` qubits; states compare by identity."""
 
     qubits: int
     amplitudes: np.ndarray
@@ -51,7 +51,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", _freeze(amps.copy()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on a qubit register.
 
@@ -63,7 +63,7 @@ class DensityMatrix:
     by construction, without these checks, and ``partial_trace`` reduces such
     a projector without them too; ``_from_projector`` marks both.  Every other
     matrix, and every reduction of one, goes through the checks.  The mark
-    takes no part in comparison or repr.
+    takes no part in repr.  Density matrices compare by identity.
     """
 
     qubits: int

@@ -290,6 +290,15 @@ class TestLuCheck:
         assert code == 2
         assert "not unitary" in capsys.readouterr().err
 
+    def test_factor_file_of_the_wrong_shape_exits_2(self, capsys, tmp_path):
+        factor_file = tmp_path / "wide.json"
+        factor_file.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 2))
+        code = main(["lu-check", "--factors", f"@{factor_file}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "factor 1 has shape (2, 3), expected (2, 2)" in err
+
     def test_unknown_factor_spec_exits_2(self, capsys):
         code = main(["lu-check", "--factors", "bogus"])
         assert code == 2

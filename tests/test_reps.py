@@ -482,7 +482,7 @@ class TestFusedLetters:
     def test_powered_words_fuse_the_period(self, strands, text):
         u = haar_unitary(4, np.random.default_rng(710))
         word = parse_braid_word(text, strands)
-        assert any(period * count > SEGMENT for _, period, count in word.powers)
+        assert any(period * count > SEGMENT for _, period, count, _ in word.powers)
         self.check(u, word)
         rep = generic_rep(u, strands)
         flat = evaluate(rep, BraidWord(strands, word.letters))

@@ -91,6 +91,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(1, np.diag([bad, 0.5]))
 
+    def test_equality_is_identity_and_hash_works(self):
+        ghz = named_state("ghz")
+        rho = density(ghz)
+        for value, twin in (
+            (ghz, PureState(3, ghz.amplitudes)),
+            (rho, DensityMatrix(3, rho.matrix)),
+        ):
+            assert (value == twin) is False
+            assert (value == value) is True
+            assert len({value, value, twin}) == 2  # hashable, by identity
+
 
 class TestApply:
     def test_bell_generation(self):
