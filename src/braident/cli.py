@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 
@@ -33,18 +34,20 @@ from .entanglement import (
     three_tangle,
     vn_entropy,
 )
-from .linalg import equal_up_to_phase, haar_unitary
+from .linalg import DEFAULT_TOL, haar_unitary
 from .links import render_braid_ascii, summarize_closure
 from .reps import (
     DEFAULT_THETA,
     Representation,
     b2_rep,
+    closure_of,
     evaluate,
     ge_rep,
     jones_rep,
     verify_relations,
 )
 from .states import (
+    NAMED_STATES,
     PureState,
     apply,
     apply_local,
@@ -143,8 +146,15 @@ def _profile_lines(entries):
                f"p = {e.probability:.6f}, leftover concurrence = {conc}")
 
 
+def _rep(args) -> Representation:
+    # jones takes no angle, but a non-finite --theta is an input error for every rep
+    if not math.isfinite(args.theta):
+        raise ValueError(f"theta must be finite, got {args.theta}")
+    return REP_BUILDERS[args.rep](args.theta)
+
+
 def cmd_relations(args) -> tuple[dict, int]:
-    rep = REP_BUILDERS[args.rep](args.theta)
+    rep = _rep(args)
     report = verify_relations(rep, args.tol)
     doc = {
         "command": "relations",
@@ -177,17 +187,16 @@ def _relations_text(doc: dict):
 
 
 def cmd_eval(args) -> tuple[dict, int]:
-    rep = REP_BUILDERS[args.rep](args.theta)
+    rep = _rep(args)
     word = parse_braid_word(args.word, rep.strands)
     matrix = evaluate(rep, word)
-    phase = equal_up_to_phase(matrix, np.eye(rep.dimension, dtype=complex), args.tol)
     doc = {
         "command": "eval",
         "representation": _rep_json(rep),
         "word": render_braid_word(word),
         "strands": word.strands,
         "matrix": matrix,
-        "closure": {"closes": phase is not None, "phase": phase},
+        "closure": closure_of(matrix, args.tol),
     }
     return doc, 0
 
@@ -199,28 +208,22 @@ def _eval_text(doc: dict):
     yield "matrix:"
     for row in doc["matrix"]:
         yield "  " + "  ".join(f"{z.real:+.4f}{z.imag:+.4f}j" for z in row)
-    if closure["closes"]:
-        yield f"closure: phase * identity with phase = {closure['phase']:+.12f} rad"
+    if closure.closes:
+        yield f"closure: phase * identity with phase = {closure.phase:+.12f} rad"
     else:
         yield "closure: not a phase times the identity"
 
 
-def _named_overlaps(state: PureState) -> dict:
-    """|<name|state>| for each reference state on the same number of qubits."""
-    overlaps = {}
-    for name in ("ghz", "phi", "bell"):
-        target = named_state(name)
-        if target.qubits == state.qubits:
-            overlaps[name] = float(abs(np.vdot(target.amplitudes, state.amplitudes)))
-    return overlaps
-
-
 def cmd_entangle(args) -> tuple[dict, int]:
-    rep = REP_BUILDERS[args.rep](args.theta)
+    rep = _rep(args)
     word = parse_braid_word(args.word, rep.strands)
     state_in = _load_state(args.state, rep.strands)
     state_out = apply(evaluate(rep, word), state_in)
-    overlaps = _named_overlaps(state_out)
+    overlaps = {  # |<name|out>| for each reference state on as many qubits
+        name: float(abs(np.vdot(named_state(name).amplitudes, state_out.amplitudes)))
+        for name, (qubits, _) in NAMED_STATES.items()
+        if qubits == state_out.qubits
+    }
     if state_out.qubits == 3:
         analysis = {
             "three_tangle": three_tangle(state_out),
@@ -288,12 +291,15 @@ def _resolve_factors(args) -> tuple[list[np.ndarray], str]:
         return [haar_unitary(2, rng) for _ in range(3)], f"random-unitary(seed={args.seed})"
     if choice.startswith("@"):
         data = _read_json(choice[1:])
-        if not isinstance(data, list):
-            raise ValueError("factor file must hold one 2x2 matrix or a list of three")
-        if len(data) == 3:
+        depth, first = 0, data  # how many nonempty lists deep the first entries nest
+        while isinstance(first, list) and first:
+            depth, first = depth + 1, first[0]
+        if 0 < depth < 4:  # one matrix: rows of [re, im] pairs
+            factors = [matrix_from_json(data)] * 3
+        elif depth == 4 and len(data) == 3:  # three matrices
             factors = [matrix_from_json(entry) for entry in data]
         else:
-            factors = [matrix_from_json(data)] * 3
+            raise ValueError("factor file must hold one 2x2 matrix or a list of three")
         return factors, choice  # apply_local checks each factor's shape and unitarity
     raise ValueError(
         f"unknown --factors value {choice!r} (expected default, identity, "
@@ -325,7 +331,7 @@ def cmd_lu_check(args) -> tuple[dict, int]:
 
     table_ghz = _invariant_table(ghz)
     table_ref = _invariant_table(reference)
-    invariants_agree = _tables_agree(table_ghz, table_ref, 1e-10)
+    invariants_agree = _tables_agree(table_ghz, table_ref, DEFAULT_TOL)
     passed = checks.get("signed_equality_to_target", True) and invariants_agree
     doc = {
         "command": "lu-check",
@@ -335,7 +341,7 @@ def cmd_lu_check(args) -> tuple[dict, int]:
         "invariants": {
             "ghz": table_ghz,
             ref_label: table_ref,
-            "agree_within": 1e-10,
+            "agree_within": DEFAULT_TOL,
             "all_agree": invariants_agree,
         },
         "residual_profiles": {
@@ -425,8 +431,8 @@ TEXT = {
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {value}")
+    if not 0 < value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {value}")
     return value
 
 
@@ -442,7 +448,7 @@ def _add_common(parser: argparse.ArgumentParser, rep: bool = False, word: bool =
             help="phase angle in radians for the b2/ge families (default 1.0)",
         )
         parser.add_argument(
-            "--tol", type=_positive_float, default=1e-10, help="numerical tolerance"
+            "--tol", type=_positive_float, default=DEFAULT_TOL, help="numerical tolerance"
         )
     if word:
         parser.add_argument("--word", required=True, help='braid word, e.g. "(s1 s2)^3"')

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from .braids import (
     BraidWord,
-    GeneratorLetter,
     cycle_count,
     free_reduce,
+    parse_braid_word,
     render_braid_word,
     word_images,
 )
@@ -27,12 +27,9 @@ MAX_RENDER_LETTERS = 64
 MAX_RENDER_STRANDS = 8
 
 _REGISTERED_WORDS = {
-    name: BraidWord(strands, letters)
-    for name, strands, letters in (
-        ("hopf", 2, (GeneratorLetter(1, 1),) * 2),
-        ("borromean_word", 3, (GeneratorLetter(1, 1), GeneratorLetter(2, -1)) * 3),
-        ("nus_word", 3, (GeneratorLetter(1, 1), GeneratorLetter(2, 1)) * 3),
-    )
+    "hopf": parse_braid_word("s1 s1", 2),
+    "borromean_word": parse_braid_word("s1 s2^-1 s1 s2^-1 s1 s2^-1", 3),
+    "nus_word": parse_braid_word("s1 s2 s1 s2 s1 s2", 3),
 }
 _REGISTERED_SUMS = {name: word_images(word)[1] for name, word in _REGISTERED_WORDS.items()}
 
@@ -77,33 +74,17 @@ def render_braid_ascii(word: BraidWord, ascii_only: bool = False) -> str:
             f"diagram supports at most {MAX_RENDER_LETTERS} letters, got {len(word.letters)}"
         )
     bar = "|" if ascii_only else "│"
-    width = 4 * (n - 1) + 1
-
-    def row(entries: dict[int, str]) -> str:
-        cells = [" "] * width
-        for col, ch in entries.items():
-            cells[col] = ch
-        return "".join(cells).rstrip()
-
-    def bar_row(skip: tuple[int, ...] = ()) -> dict[int, str]:
-        return {4 * (i - 1): bar for i in range(1, n + 1) if i not in skip}
-
+    bars = "   ".join([bar] * n)  # strand i's vertical is at column 4(i-1)
     lines = [
         f"braid on {n} strands: {render_braid_word(word) or '(empty word)'}",
         "convention: positive s_i crosses strand i over strand i+1;"
         " the unbroken diagonal is the over-strand",
-        row({4 * (i - 1): str(i) for i in range(1, n + 1)}),
-        row(bar_row()),
+        "   ".join(str(i) for i in range(1, n + 1)),
+        bars,
     ]
     for letter in word.letters:
-        i = letter.index
-        c = 4 * (i - 1)
-        over_mid = "\\" if letter.sign > 0 else "/"
-        top = bar_row(skip=(i, i + 1))
-        top.update({c: "\\", c + 4: "/"})
-        mid = bar_row(skip=(i, i + 1))
-        mid.update({c + 2: over_mid})
-        bottom = bar_row(skip=(i, i + 1))
-        bottom.update({c: "/", c + 4: "\\"})
-        lines.extend([row(top), row(mid), row(bottom), row(bar_row())])
+        c = 4 * (letter.index - 1)  # a band spans the five columns from strand i to i+1
+        for band in ("\\   /", "  \\  " if letter.sign > 0 else "  /  ", "/   \\"):
+            lines.append((bars[:c] + band + bars[c + 5 :]).rstrip())
+        lines.append(bars)
     return "\n".join(lines)

@@ -3,15 +3,11 @@
 Three concrete families plus a generic tensor template:
 
 * ``b2_rep(theta)``: B2 on two qubits.  The single generator is the phased
-  Bell-generating orthogonal matrix
-
-      (e^{i theta}/sqrt 2) [[1,0,0,1],[0,1,1,0],[0,1,-1,0],[1,0,0,-1]]
+  Bell-generating orthogonal matrix (e^{i theta}/sqrt 2) B2_CORE.
 
 * ``ge_rep(theta)``: B3 on three qubits from the 4x4 Yang-Baxter unitary
-
-      U = (e^{i theta}/sqrt 2) [[1,0,0,-1],[0,1,-1,0],[0,1,1,0],[1,0,0,1]]
-
-  placed on qubit pairs: sigma_1 = U(x)I, sigma_2 = I(x)U.
+  U = (e^{i theta}/sqrt 2) YANG_BAXTER_CORE placed on qubit pairs:
+  sigma_1 = U(x)I, sigma_2 = I(x)U.
 
 * ``jones_rep()``: B3 on three qubits built from Temperley-Lieb elements t_i
   (t_i^2 = sqrt(2) t_i, t_1 t_2 t_1 = t_1) as sigma_i = A t_i + A^{-1} I with
@@ -299,20 +295,19 @@ def _warn_if_rational_angle(theta: float) -> None:
         )
 
 
+# The integer cores of the 4x4 generators, each phased by e^{i theta}/sqrt 2.
+B2_CORE = _frozen(np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]))
+YANG_BAXTER_CORE = _frozen(np.array([[1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]))
+
+
 def b2_generator(theta: float) -> np.ndarray:
     """The phased 4x4 Bell generator of the two-strand representation."""
-    core = np.array(
-        [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]], dtype=complex
-    )
-    return np.exp(1j * theta) / math.sqrt(2) * core
+    return np.exp(1j * theta) / math.sqrt(2) * B2_CORE
 
 
 def yang_baxter_unitary(theta: float) -> np.ndarray:
     """The phased 4x4 Yang-Baxter solution used by the three-strand product rep."""
-    core = np.array(
-        [[1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=complex
-    )
-    return np.exp(1j * theta) / math.sqrt(2) * core
+    return np.exp(1j * theta) / math.sqrt(2) * YANG_BAXTER_CORE
 
 
 def b2_rep(theta: float = DEFAULT_THETA) -> Representation:
@@ -391,7 +386,7 @@ def _fold_segments(rep: Representation, codes: np.ndarray) -> np.ndarray:
     acc[:] = eye
     spare = np.empty_like(gathered)
     for column in columns:
-        # the codes are in range; take's default mode "raise" would buffer its out
+        # buffered (mode="clip" fills out in place): a plain table[column] @ acc fold is slower
         np.take(table, column, axis=0, out=gathered, mode="clip")
         np.matmul(gathered, acc, out=spare)
         acc, spare = spare, acc
@@ -533,7 +528,12 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     return np.ascontiguousarray(p.reshape(d, d).T)
 
 
+def closure_of(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> ClosureResult:
+    """Is the matrix e^{i phi} I within tol in the Frobenius norm, and for which phi?"""
+    phase = equal_up_to_phase(matrix, np.eye(len(matrix), dtype=complex), tol)
+    return ClosureResult(phase is not None, phase)
+
+
 def closure_check(rep: Representation, word: BraidWord, tol: float = DEFAULT_TOL) -> ClosureResult:
     """Does the word evaluate to a phase times the identity (closable to a link)?"""
-    phase = equal_up_to_phase(evaluate(rep, word), np.eye(rep.dimension, dtype=complex), tol)
-    return ClosureResult(phase is not None, phase)
+    return closure_of(evaluate(rep, word), tol)

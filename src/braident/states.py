@@ -8,7 +8,6 @@ renormalized state on the remaining ones.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,23 +101,20 @@ def basis_state(bits: str) -> PureState:
     return PureState(len(bits), amps)
 
 
+NAMED_STATES = {  # name -> (qubits, support)
+    "ghz": (3, (0b000, 0b111)), "phi": (3, (0b000, 0b011, 0b101, 0b110)), "bell": (2, (0b00, 0b11)),
+}
+
+
 def named_state(name: str) -> PureState:
-    """One of the reference states: 'ghz', 'phi' (both 3 qubits) or 'bell' (2)."""
-    s2 = 1.0 / np.sqrt(2.0)
-    if name == "ghz":
-        amps = np.zeros(8, dtype=complex)
-        amps[0b000] = amps[0b111] = s2
-        return PureState(3, amps)
-    if name == "phi":
-        amps = np.zeros(8, dtype=complex)
-        for idx in (0b000, 0b011, 0b101, 0b110):
-            amps[idx] = 0.5
-        return PureState(3, amps)
-    if name == "bell":
-        amps = np.zeros(4, dtype=complex)
-        amps[0b00] = amps[0b11] = s2
-        return PureState(2, amps)
-    raise ValueError(f"unknown named state {name!r} (expected ghz, phi or bell)")
+    """One of the reference states: 'ghz', 'phi' (both 3 qubits) or 'bell' (2),
+    with equal amplitudes on the basis states of its NAMED_STATES support."""
+    if name not in NAMED_STATES:
+        raise ValueError(f"unknown named state {name!r} (expected ghz, phi or bell)")
+    qubits, support = NAMED_STATES[name]
+    amps = np.zeros(2**qubits, dtype=complex)
+    amps[list(support)] = 1.0 / np.sqrt(len(support))
+    return PureState(qubits, amps)
 
 
 def apply(operator, state: PureState) -> PureState:
@@ -217,14 +213,11 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep set must be nonempty")
     if kept[0] < 1 or kept[-1] > n:
         raise ValueError(f"keep set {kept} not a subset of 1..{n}")
-    letters = string.ascii_letters
-    bra = [letters[i] for i in range(n)]
-    ket = [letters[i] if (i + 1) not in kept else letters[n + i] for i in range(n)]
-    out = [letters[i] for i in range(n) if (i + 1) in kept]
-    out += [letters[n + i] for i in range(n) if (i + 1) in kept]
-    subscript = "".join(bra) + "".join(ket) + "->" + "".join(out)
+    # einsum labels: qubit i + 1 has row axis i and column axis n + i, or i if traced out
+    labels = [*range(n)] + [n + i if i + 1 in kept else i for i in range(n)]
+    out = [q - 1 for q in kept] + [n + q - 1 for q in kept]
     dim = 2 ** len(kept)
-    reduced = np.einsum(subscript, dm.matrix.reshape([2] * (2 * n))).reshape(dim, dim)
+    reduced = np.einsum(dm.matrix.reshape([2] * (2 * n)), labels, out).reshape(dim, dim)
     if dm._from_projector:
         return _projector_density(len(kept), reduced)
     return DensityMatrix(len(kept), reduced)

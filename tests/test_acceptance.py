@@ -15,8 +15,6 @@ import warnings
 import numpy as np
 
 from braident.braids import (
-    BraidWord,
-    GeneratorLetter,
     concat,
     cycle_count,
     exponent_sum,
@@ -50,6 +48,7 @@ from braident.states import (
     named_state,
     partial_trace,
 )
+from wordcodes import word_of
 
 BORROMEAN = "(s1 s2^-1)^3"
 NUS = "(s1 s2)^3"
@@ -73,11 +72,8 @@ def random_state(rng, qubits=3):
 
 def random_word(rng, strands, max_len=10):
     length = int(rng.integers(0, max_len + 1))
-    letters = tuple(
-        GeneratorLetter(int(rng.integers(1, strands)), int(rng.choice([1, -1])))
-        for _ in range(length)
-    )
-    return BraidWord(strands, letters)
+    codes = [int(rng.integers(1, strands)) * int(rng.choice([1, -1])) for _ in range(length)]
+    return word_of(strands, codes)
 
 
 def w_state():
@@ -223,8 +219,8 @@ def test_c8_property_suites():
         if residual > tol:
             failures.append(f"homomorphism trial {trial}: {residual:.2e}")
 
-    site_a = BraidWord(3, (GeneratorLetter(1, 1), GeneratorLetter(2, 1), GeneratorLetter(1, 1)))
-    site_b = BraidWord(3, (GeneratorLetter(2, 1), GeneratorLetter(1, 1), GeneratorLetter(2, 1)))
+    site_a = word_of(3, [1, 2, 1])
+    site_b = word_of(3, [2, 1, 2])
     three_strand = [ge_rep(1.0), jones_rep()]
     for trial in range(100):
         rep = three_strand[trial % 2]

@@ -23,22 +23,18 @@ from braident.braids import (
     shared_letter,
 )
 from braident.links import summarize_closure
+from wordcodes import codes_of, word_of
 
 BORROMEAN_TEXT = "s1 s2^-1 s1 s2^-1 s1 s2^-1"
 NUS_TEXT = "(s1 s2)^3"
 
 
-def letters_of(word):
-    return [(l.index, l.sign) for l in word.letters]
-
-
 def words(strands, max_size=12):
-    letter = st.builds(
-        GeneratorLetter,
+    code = st.tuples(
         st.integers(min_value=1, max_value=strands - 1),
         st.sampled_from([1, -1]),
-    )
-    return st.lists(letter, max_size=max_size).map(lambda ls: BraidWord(strands, tuple(ls)))
+    ).map(lambda pair: pair[0] * pair[1])
+    return st.lists(code, max_size=max_size).map(lambda codes: word_of(strands, codes))
 
 
 # Separators between tokens: none, ASCII and Unicode whitespace (str.isspace).
@@ -65,11 +61,11 @@ def word_texts(draw, strands=3, depth=0):
 class TestParser:
     def test_borromean_word(self):
         word = parse_braid_word(BORROMEAN_TEXT, 3)
-        assert letters_of(word) == [(1, 1), (2, -1)] * 3
+        assert codes_of(word) == [1, -2] * 3
 
     def test_nus_power_expansion(self):
         word = parse_braid_word(NUS_TEXT, 3)
-        assert letters_of(word) == [(1, 1), (2, 1)] * 3
+        assert codes_of(word) == [1, 2] * 3
 
     def test_empty_text_is_identity(self):
         assert parse_braid_word("", 3) == identity_word(3)
@@ -341,7 +337,7 @@ class TestWordAlgebra:
         assert concat(identity_word(3), right) == right
         # no implicit simplification
         pair = concat(parse_braid_word("s1", 3), parse_braid_word("s1^-1", 3))
-        assert letters_of(pair) == [(1, 1), (1, -1)]
+        assert codes_of(pair) == [1, -1]
 
     def test_concat_strand_mismatch(self):
         with pytest.raises(ValueError, match="strand-count mismatch"):

@@ -121,10 +121,11 @@ class TestEval:
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_theta_exits_2(self, capsys, theta):
-        code = main(["eval", "--rep", "b2", "--word", "s1", f"--theta={theta}"])
-        assert code == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        for rep in ("b2", "ge", "jones"):  # jones reads no angle but rejects a bad one too
+            code = main(["eval", "--rep", rep, "--word", "s1", f"--theta={theta}"])
+            assert code == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == [f"error: theta must be finite, got {float(theta)}"]
 
     def test_rational_theta_warns_on_one_line(self, capsys):
         code = main(["eval", "--rep", "ge", "--word", "s1", "--theta", "0"])
@@ -299,6 +300,26 @@ class TestLuCheck:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "factor 1 has shape (2, 3), expected (2, 2)" in err
 
+    def test_one_3x3_matrix_is_read_as_one_factor(self, capsys, tmp_path):
+        factor_file = tmp_path / "identity3.json"
+        identity3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+        factor_file.write_text(json.dumps(identity3))
+        code = main(["lu-check", "--factors", f"@{factor_file}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "factor 1 has shape (3, 3), expected (2, 2)" in err
+
+    def test_a_list_of_two_matrices_exits_2(self, capsys, tmp_path):
+        hadamard = [[[2**-0.5, 0.0], [2**-0.5, 0.0]], [[2**-0.5, 0.0], [-(2**-0.5), 0.0]]]
+        factor_file = tmp_path / "two.json"
+        factor_file.write_text(json.dumps([hadamard, hadamard]))
+        code = main(["lu-check", "--factors", f"@{factor_file}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "factor file must hold one 2x2 matrix or a list of three" in err
+
     def test_unknown_factor_spec_exits_2(self, capsys):
         code = main(["lu-check", "--factors", "bogus"])
         assert code == 2
@@ -348,6 +369,20 @@ def test_tol_is_rejected_where_no_tolerance_is_read(argv):
     with pytest.raises(SystemExit) as err:
         main(argv + ["--tol", "1e-3"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["relations", "--rep", "jones"], ["eval", "--rep", "ge", "--word", "(s1 s2)^3"],
+     ["entangle", "--rep", "ge", "--word", "s1 s2"]],
+    ids=["relations", "eval", "entangle"],
+)
+def test_non_finite_tol_is_a_usage_error(capsys, argv, tol):
+    with pytest.raises(SystemExit) as err:
+        main(argv + [f"--tol={tol}"])
+    assert err.value.code == 2
+    assert f"tolerance must be positive and finite, got {float(tol)}" in capsys.readouterr().err
 
 
 class TestLinksAndRender:
@@ -422,7 +457,7 @@ WORD_TOKENS = ["s", "\u03c3", "0", "1", "2", "3", "9", "^", "-", "+", "(", ")", 
                "\u00b2", "\u0663", "x"]
 
 
-THETAS = st.sampled_from([0.0, math.pi, 1e308]) | st.floats(allow_nan=False, allow_infinity=False)
+THETAS = st.sampled_from([0.0, math.pi, 1e308, math.nan, math.inf, -math.inf]) | st.floats()
 
 # @file contents: any JSON document (big and non-finite numbers included), and
 # documents shaped like a state or a factor list so that decoding gets further.
@@ -458,20 +493,23 @@ def cli_argv(draw):
     return argv
 
 
-def assert_exit_contract(argv) -> None:
+def assert_exit_contract(argv) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert_one_error_line(err.getvalue())
+    return code
 
 
 class TestMainFuzz:
     @settings(max_examples=150, deadline=None)
     @given(cli_argv())
     def test_exit_codes_and_error_lines(self, argv):
-        assert_exit_contract(argv)
+        code = assert_exit_contract(argv)
+        if "--theta" in argv and not math.isfinite(float(argv[argv.index("--theta") + 1])):
+            assert code == 2
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([STATE_OPTION, FACTORS_OPTION]),

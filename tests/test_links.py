@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from braident import links
 from braident.braids import (
     BraidWord,
-    GeneratorLetter,
     concat,
     free_reduce,
     identity_word,
     parse_braid_word,
 )
 from braident.links import render_braid_ascii, summarize_closure
+from wordcodes import codes_of, word_of
 
 BORROMEAN_TEXT = "s1 s2^-1 s1 s2^-1 s1 s2^-1"
 NUS_TEXT = "(s1 s2)^3"
@@ -83,7 +83,7 @@ class TestSummarizeClosure:
 
     def test_name_requires_matching_strand_count(self):
         # the same letters as the hopf word, but on three strands
-        word = BraidWord(3, (GeneratorLetter(1, 1), GeneratorLetter(1, 1)))
+        word = word_of(3, [1, 1])
         assert summarize_closure(word).named_match is None
 
     def test_components_invariant_under_trivial_insertion(self):
@@ -130,12 +130,12 @@ class TestNamedWordFilter:
     )
     def test_padded_registered_words_keep_their_name(self, name, pads):
         registered = links._REGISTERED_WORDS[name]
-        letters = list(registered.letters)
+        codes = codes_of(registered)
         for at, index, sign in pads:
-            letter = GeneratorLetter(min(index, registered.strands - 1), sign)
-            at %= len(letters) + 1
-            letters[at:at] = [letter, letter.inverse()]
-        word = BraidWord(registered.strands, tuple(letters))
+            code = min(index, registered.strands - 1) * sign
+            at %= len(codes) + 1
+            codes[at:at] = [code, -code]
+        word = word_of(registered.strands, codes)
         assert summarize_closure(word).named_match == name == named_by_reduction(word)
 
 
@@ -170,6 +170,6 @@ class TestRenderBraidAscii:
     def test_size_limits(self):
         with pytest.raises(ValueError, match="strands"):
             render_braid_ascii(identity_word(9))
-        long_word = BraidWord(2, (GeneratorLetter(1, 1),) * 65)
+        long_word = word_of(2, [1] * 65)
         with pytest.raises(ValueError, match="letters"):
             render_braid_ascii(long_word)

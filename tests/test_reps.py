@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from braident.braids import (
     BraidWord,
-    GeneratorLetter,
     concat,
     free_reduce,
     inverse,
@@ -30,6 +29,7 @@ from braident.reps import (
     verify_relations,
     yang_baxter_unitary,
 )
+from wordcodes import codes_of, word_of
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -52,11 +52,8 @@ def wrapped_angle_distance(a, b):
 def random_word(rng, strands, max_len=12, length=None):
     if length is None:
         length = int(rng.integers(0, max_len + 1))
-    letters = tuple(
-        GeneratorLetter(int(rng.integers(1, strands)), int(rng.choice([1, -1])))
-        for _ in range(length)
-    )
-    return BraidWord(strands, letters)
+    codes = [int(rng.integers(1, strands)) * int(rng.choice([1, -1])) for _ in range(length)]
+    return word_of(strands, codes)
 
 
 class TestB2Rep:
@@ -204,18 +201,15 @@ def dense_images(u, strands):
 
 
 def written_order_product(images, word, dim):
-    factors = [
-        images[l.index - 1] if l.sign > 0 else images[l.index - 1].conj().T for l in word.letters
-    ]
+    factors = [images[c - 1] if c > 0 else images[-c - 1].conj().T for c in codes_of(word)]
     return functools.reduce(np.matmul, factors, np.eye(dim, dtype=complex))
 
 
 def written_order_columns(images, word, dim, columns):
     """The first ``columns`` columns of written_order_product, last letter applied first."""
     out = np.eye(dim, columns, dtype=complex)
-    for l in reversed(word.letters):
-        image = images[l.index - 1]
-        out = (image if l.sign > 0 else image.conj().T) @ out
+    for c in reversed(codes_of(word)):
+        out = (images[c - 1] if c > 0 else images[-c - 1].conj().T) @ out
     return out
 
 
@@ -634,12 +628,8 @@ class TestRepresentationProperties:
             for _ in range(25):
                 prefix = random_word(rng, 3, max_len=5)
                 suffix = random_word(rng, 3, max_len=5)
-                site_a = BraidWord(
-                    3, (GeneratorLetter(1, 1), GeneratorLetter(2, 1), GeneratorLetter(1, 1))
-                )
-                site_b = BraidWord(
-                    3, (GeneratorLetter(2, 1), GeneratorLetter(1, 1), GeneratorLetter(2, 1))
-                )
+                site_a = word_of(3, [1, 2, 1])
+                site_b = word_of(3, [2, 1, 2])
                 w_a = concat(concat(prefix, site_a), suffix)
                 w_b = concat(concat(prefix, site_b), suffix)
                 assert np.linalg.norm(evaluate(rep, w_a) - evaluate(rep, w_b)) < 1e-11
