@@ -224,6 +224,7 @@ def cmd_entangle(args) -> tuple[dict, int]:
         for name, (qubits, _) in NAMED_STATES.items()
         if qubits == state_out.qubits
     }
+    closest = max(overlaps, key=overlaps.get)
     if state_out.qubits == 3:
         analysis = {
             "three_tangle": three_tangle(state_out),
@@ -238,7 +239,7 @@ def cmd_entangle(args) -> tuple[dict, int]:
         "input_state": state_in,
         "output_state": state_out,
         "named_overlaps": overlaps,
-        "matched_state": next((n for n, o in overlaps.items() if 1.0 - o <= args.tol), None),
+        "matched_state": closest if 1.0 - overlaps[closest] <= args.tol else None,
         "analysis": analysis,
     }
     return doc, 0
@@ -448,7 +449,9 @@ def _add_common(parser: argparse.ArgumentParser, rep: bool = False, word: bool =
             help="phase angle in radians for the b2/ge families (default 1.0)",
         )
         parser.add_argument(
-            "--tol", type=_positive_float, default=DEFAULT_TOL, help="numerical tolerance"
+            "--tol", type=_positive_float, default=DEFAULT_TOL,
+            help="tolerance on relation residuals, on closure (eval), and on "
+            "1 - |<name|out>| of the closest named state (entangle)",
         )
     if word:
         parser.add_argument("--word", required=True, help='braid word, e.g. "(s1 s2)^3"')

@@ -16,15 +16,16 @@ Three concrete families plus a generic tensor template:
 
 * ``generic_rep(u, n)``: sigma_i = I(x)...(x)U(x)...(x)I with a 4x4 unitary U
   on qubits (i, i+1).  Far commutation holds by construction; the braid
-  relation is checked and recorded but not enforced, since most U fail it.
+  relation is measured but not enforced, since most U fail it.
 
 Every generator is stored as a unitary block B of dimension k = 2^m on the m
 qubits that start at qubit ``first``, and acts as the identity on the other
 qubits.  b2, ge and jones use blocks that span the whole register
 (``first`` = 1); ``generic_rep`` uses the 4x4 U itself at qubit i.  The
 unitarity check, the relation residuals and ``evaluate`` all work on the
-blocks; ``Representation.generator_images`` gives the dense register
-operators on request.
+blocks.  ``Representation.relation_report`` measures the residuals on first
+read, and ``verify_relations`` re-judges them at any tolerance;
+``generator_images`` gives the dense register operators on request.
 
 Conventions.  Strand i acts on qubit i, the i-th tensor factor from the left
 (most significant index bit).  ``evaluate`` multiplies generator images in
@@ -83,14 +84,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .braids import BraidWord, free_reduce_codes
-from .linalg import DEFAULT_TOL, equal_up_to_phase, is_unitary
+from .linalg import DEFAULT_TOL, equal_up_to_phase
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
 
@@ -122,9 +123,8 @@ class Representation:
 
     ``blocks[i-1]`` is ``(block, first)``: the i-th generator acts as the
     unitary ``block`` on the run of qubits that starts at qubit ``first``
-    and as the identity on every other qubit.  ``relation_report`` records
-    the defining-relation residuals measured at construction time.
-    Representations compare by identity.
+    and as the identity on every other qubit.  Representations compare by
+    identity; each property below is computed once, on first use.
     """
 
     name: str
@@ -132,7 +132,11 @@ class Representation:
     dimension: int
     blocks: tuple[tuple[np.ndarray, int], ...]
     parameters: dict = field(default_factory=dict)
-    relation_report: RelationReport | None = None
+
+    @cached_property
+    def relation_report(self) -> RelationReport:
+        """The defining-relation residuals judged at DEFAULT_TOL, measured on first use."""
+        return _relation_report(self.blocks, self.strands, DEFAULT_TOL)
 
     @cached_property
     def generator_images(self) -> tuple[np.ndarray, ...]:
@@ -237,14 +241,15 @@ def _relation_report(
     for i in range(1, k):
         r = _pair_residual(blocks[i - 1], blocks[i], strands, lambda a, b: a @ b @ a)
         braiding.append((i, r))
-    residuals = [r for _, _, r in far] + [r for _, r in braiding]
-    max_residual = max(residuals, default=0.0)
+    max_residual = max([r for *_, r in far + braiding], default=0.0)
     return RelationReport(tuple(far), tuple(braiding), max_residual, tol, max_residual <= tol)
 
 
 def verify_relations(rep: Representation, tol: float = DEFAULT_TOL) -> RelationReport:
-    """Measure far-commutation and braiding residuals of every generator pair."""
-    return _relation_report(rep.blocks, rep.strands, tol)
+    """Far-commutation and braiding residuals of every generator pair, measured once
+    per representation (``relation_report``) and judged here at tol."""
+    report = rep.relation_report
+    return replace(report, tolerance=tol, passed=report.max_residual <= tol)
 
 
 def _assemble(
@@ -252,14 +257,13 @@ def _assemble(
     strands: int,
     blocks: list[tuple[np.ndarray, int]],
     parameters: dict,
-    tol: float,
     require_braiding: bool,
 ) -> Representation:
     """Check and freeze (block, first qubit) generators into a Representation.
 
-    A k x k block is unitary on the d-dimensional register within tol iff
-    sqrt(d/k) ||B B^dag - I||_F <= tol: the register operator repeats the
-    block d/k times, so this is the Frobenius quantity of the dense check.
+    A k x k block passes when sqrt(d/k) ||B B^dag - I||_F <= DEFAULT_TOL on a
+    d-dimensional register: the register operator repeats the block d/k
+    times, so this is the Frobenius quantity of the dense unitarity check.
     """
     d = 2**strands
     frozen = []
@@ -267,16 +271,16 @@ def _assemble(
         block = _frozen(np.array(block, dtype=complex))
         k = len(block)
         defect = np.linalg.norm(block @ block.conj().T - np.eye(k, dtype=complex))
-        if not math.sqrt(d / k) * defect <= tol:
-            raise ValueError(f"image of generator {i} is not unitary within {tol}")
+        if not math.sqrt(d / k) * defect <= DEFAULT_TOL:
+            raise ValueError(f"image of generator {i} is not unitary within {DEFAULT_TOL}")
         frozen.append((block, first))
-    report = _relation_report(tuple(frozen), strands, tol)
-    if require_braiding and not report.passed:
+    rep = Representation(name, strands, d, tuple(frozen), parameters)
+    if require_braiding and not rep.relation_report.passed:
         raise ValueError(
             f"defining relations violated for representation {name!r} "
-            f"(max residual {report.max_residual:.3e} > {tol})"
+            f"(max residual {rep.relation_report.max_residual:.3e} > {DEFAULT_TOL})"
         )
-    return Representation(name, strands, d, tuple(frozen), parameters, report)
+    return rep
 
 
 def _warn_if_rational_angle(theta: float) -> None:
@@ -313,9 +317,7 @@ def yang_baxter_unitary(theta: float) -> np.ndarray:
 def b2_rep(theta: float = DEFAULT_THETA) -> Representation:
     """Two-strand representation on two qubits; no braiding relation applies."""
     _warn_if_rational_angle(theta)
-    return _assemble(
-        "b2", 2, [(b2_generator(theta), 1)], {"theta": theta}, DEFAULT_TOL, require_braiding=True
-    )
+    return _assemble("b2", 2, [(b2_generator(theta), 1)], {"theta": theta}, require_braiding=True)
 
 
 def ge_rep(theta: float = DEFAULT_THETA) -> Representation:
@@ -323,7 +325,7 @@ def ge_rep(theta: float = DEFAULT_THETA) -> Representation:
     _warn_if_rational_angle(theta)
     u = yang_baxter_unitary(theta)
     blocks = [(np.kron(u, _I2), 1), (np.kron(_I2, u), 1)]
-    return _assemble("ge", 3, blocks, {"theta": theta}, DEFAULT_TOL, require_braiding=True)
+    return _assemble("ge", 3, blocks, {"theta": theta}, require_braiding=True)
 
 
 JONES_A = np.exp(3j * np.pi / 8)
@@ -344,27 +346,25 @@ def jones_rep() -> Representation:
     """Three-strand Jones representation sigma_i = A t_i + A^{-1} I, A = e^{3 pi i/8}."""
     eye = np.eye(8, dtype=complex)
     blocks = [(JONES_A * t + JONES_A**-1 * eye, 1) for t in temperley_lieb_generators()]
-    return _assemble("jones", 3, blocks, {"A": JONES_A}, DEFAULT_TOL, require_braiding=True)
+    return _assemble("jones", 3, blocks, {"A": JONES_A}, require_braiding=True)
 
 
-def generic_rep(u, strands: int, tol: float = DEFAULT_TOL) -> Representation:
+def generic_rep(u, strands: int) -> Representation:
     """Tensor template sigma_i = I(x)..(x)U(x)..(x)I for any 4x4 unitary U.
 
-    Far commutation holds by construction.  The braid relation usually does
-    not; it is measured and recorded in ``relation_report`` rather than
-    enforced, so the result is a probe for candidate U, not a certificate.
+    U is checked on the whole register, like every block.  Far commutation
+    holds by construction; the braid relation usually does not, and is
+    measured in ``relation_report``, not enforced: a probe, not a certificate.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    if not is_unitary(u, tol):
-        raise ValueError("U is not unitary within tolerance")
     if strands < 2:
         raise ValueError(f"need at least 2 strands, got {strands}")
     if strands > 8:
         raise ValueError(f"at most 8 strands supported, got {strands}")
     blocks = [(u, i) for i in range(1, strands)]
-    return _assemble("generic", strands, blocks, {}, tol, require_braiding=False)
+    return _assemble("generic", strands, blocks, {}, require_braiding=False)
 
 
 def _fold_segments(rep: Representation, codes: np.ndarray) -> np.ndarray:

@@ -217,6 +217,16 @@ class TestEntangle:
         assert code == 0
         assert doc3["input_state"] == doc["output_state"]
 
+    def test_loose_tol_names_the_closest_state(self, capsys):
+        # ghz's overlap 0.354 is within 0.7 of 1 too, but phi's is 1
+        argv = ["entangle", "--rep", "ge", "--word", "s1 s2", "--tol", "0.7"]
+        code, doc = run_json(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert doc["named_overlaps"]["ghz"] == pytest.approx(2**-1.5, abs=1e-12)
+        assert doc["matched_state"] == "phi"
+        assert main(argv) == 0
+        assert "matched named state: phi\n" in capsys.readouterr().out
+
     def test_state_qubit_mismatch_exits_2(self, capsys):
         code = main(["entangle", "--rep", "b2", "--word", "s1", "--state", "000"])
         assert code == 2

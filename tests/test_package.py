@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import braident
+import braident.cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -78,3 +81,33 @@ def test_no_runtime_dependency_beyond_numpy():
         [sys.executable, "-c", IMPORT_ALL], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(out.stdout) == ["braident", "numpy"]
+
+
+def test_benchmark_contract(capsys):
+    # perfbench/loads.py and perfbench/oracle.py read exactly these names and
+    # attributes.  The benchmark is not part of this suite, so breaking one
+    # shows up only as a failed or incorrect bench run: change any of them in
+    # a benchmark PR first (ROADMAP items 1-2).
+    rep = braident.jones_rep()
+    word = braident.parse_braid_word("(s1 s2^-1)^3", rep.strands)
+    assert len(word) == 6
+    assert [(letter.index, letter.sign) for letter in word.letters] == [(1, 1), (2, -1)] * 3
+    summary = braident.summarize_closure(word)
+    assert (summary.components, summary.exponent_sum) == (3, 0)
+    matrix = braident.evaluate(rep, word)
+    closure = braident.closure_check(rep, word)
+    assert closure.closes and abs(abs(closure.phase) - np.pi) < 1e-9
+    assert np.allclose(matrix, np.exp(1j * closure.phase) * np.eye(8))
+    s1 = braident.evaluate(rep, braident.parse_braid_word("s1", rep.strands))
+    assert np.array_equal(s1, rep.generator_images[0])
+
+    step = braident.evaluate(rep, braident.parse_braid_word("s1 s2^-1", rep.strands))
+    state = braident.apply(step, braident.basis_state("000"))
+    assert np.allclose(np.abs(state.amplitudes[[0, 7]]), 2**-0.5)
+    entries = braident.residual_profile(state).entries
+    assert [(e.qubit, e.outcome) for e in entries] == [(q, b) for q in (1, 2, 3) for b in (0, 1)]
+    for e in entries:
+        assert abs(e.probability - 0.5) < 1e-12 and abs(e.concurrence) < 1e-12
+
+    assert braident.cli.main(["relations", "--rep", "b2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True

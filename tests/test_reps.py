@@ -192,6 +192,46 @@ class TestGenericRep:
             generic_rep(I4, 9)
 
 
+class TestRelationReport:
+    """The relation residuals are measured once, when first read, and re-judged per tol."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        placed = []
+        pair = reps._pair_residual
+        monkeypatch.setattr(
+            reps, "_pair_residual", lambda *args: placed.append(args) or pair(*args)
+        )
+        return placed
+
+    def test_generic_report_is_measured_on_first_read(self, monkeypatch):
+        placed = self.spy(monkeypatch)
+        rep = generic_rep(haar_unitary(4, np.random.default_rng(330)), 8)
+        assert placed == []
+        report = rep.relation_report
+        assert len(placed) == 6
+        assert rep.relation_report is report
+        assert len(placed) == 6
+
+    def test_verify_relations_rejudges_without_placing(self, monkeypatch):
+        rep = generic_rep(haar_unitary(4, np.random.default_rng(340)), 8)
+        placed = self.spy(monkeypatch)
+        tols = (1e-17, 1e-10, 1.0, 1e3)
+        judged = [verify_relations(rep, tol) for tol in tols]
+        assert len(placed) == 6  # measured once, for the first call
+        for tol, report in zip(tols, judged):
+            assert report == reps._relation_report(rep.blocks, rep.strands, tol)
+            assert report.tolerance == tol
+        assert [report.passed for report in judged] == [False, False, False, True]
+
+    def test_named_reps_are_judged_at_build(self, monkeypatch):
+        placed = self.spy(monkeypatch)
+        rep = jones_rep()
+        assert len(placed) == 1  # one braiding pair, read by the relation check
+        assert verify_relations(rep, 1e-12).passed
+        assert len(placed) == 1
+
+
 def dense_images(u, strands):
     """sigma_i = I(x)U(x)I on the whole register, built here independently of reps."""
     return [
