@@ -18,11 +18,10 @@ period, so evaluation can raise a long run's period to its power instead of
 multiplying out its letters.  Runs are a hint about the letters, not part of
 the word: equality, hashing and rendering ignore them.
 
-Flat text, meaning generators with an optional ``^-1`` and whitespace, is
-read by one regex pass; any other text, and any flat text the fast pass
-cannot accept as it stands (an index out of range, too many letters), goes
-through the tokenizer and the grammar, so errors keep their message and
-position.
+Text is read by one token regex.  When every token is a generator in range,
+with an optional ``^-1`` (flat text), the letters come from a table of the
+distinct tokens; any other text goes through the grammar with the tokens'
+positions, so errors carry their message and position.
 
 Words map onto the symmetric group by sending every letter, regardless of
 sign, to the adjacent transposition swapping its index with the next point.
@@ -122,77 +121,63 @@ def identity_word(strands: int) -> BraidWord:
     return BraidWord(strands, ())
 
 
-def _long_decimal(digits: str, at: int) -> int:
-    """A digit run longer than MAX_NUMBER_DIGITS, accepted if leading zeros are the excess."""
-    significant = digits.lstrip("0")
-    if len(significant) > MAX_NUMBER_DIGITS:
-        raise WordSyntaxError(f"number longer than {MAX_NUMBER_DIGITS} digits", at)
-    return int(significant or "0")
+# One match per token; its group is the token without the whitespace before
+# it.  A generator token holds its own "^-1" when it has one: the regex joins a
+# "^-1" that no digit follows to the generator before it, so flat text
+# (generators with an optional ^-1) is generator tokens only.  Digits are ASCII
+# [0-9] only: the regex \d and str.isdecimal also take other scripts' digits
+# (Arabic-Indic, for one), which are syntax errors here.  Whitespace is what
+# str.isspace accepts, as \s does.
+_TOKEN = re.compile(r"\s*([sσ][0-9]*(?:\s*\^-1(?![0-9]))?|\^[+-]?[0-9]*|\S)")
+_GEN, _INVERSE, _POW, _OPEN, _CLOSE, _BAD = range(6)
 
 
-# Token kinds are the group numbers of _TOKEN; a match fills exactly one group.
-_GEN, _POW, _OPEN, _CLOSE, _OTHER = 1, 2, 3, 4, 5
-_TOKEN = re.compile(r"\s*(?:[sσ]([0-9]*)|\^([+-]?[0-9]*)|(\()|(\))|(\S))")
-_MISSING_NUMBER = {
-    _GEN: "generator letter needs an integer index",
-    _POW: "power needs an integer exponent",
-}
+def _decode(token: str) -> tuple[int, int | str]:
+    """The kind of one token and its value: a generator's index, a power's
+    exponent, or for a malformed token ``_BAD`` and its error message.
+    Leading zeros do not count toward MAX_NUMBER_DIGITS."""
+    head, rest = token[0], token[1:]
+    negative = False
+    if head in "sσ":
+        digits, inverse, _ = rest.partition("^")
+        kind, digits = (_INVERSE if inverse else _GEN), digits.rstrip()
+    elif head == "^":
+        kind, digits, negative = _POW, rest.lstrip("+-"), rest[:1] == "-"
+    elif head in "()":
+        return (_OPEN if head == "(" else _CLOSE), 0
+    else:
+        return _BAD, f"unexpected character {head!r}"
+    if not digits:
+        if kind == _POW:
+            return _BAD, "power needs an integer exponent"
+        return _BAD, "generator letter needs an integer index"
+    if len(digits) > MAX_NUMBER_DIGITS:
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > MAX_NUMBER_DIGITS:
+            return _BAD, f"number longer than {MAX_NUMBER_DIGITS} digits"
+    value = int(digits)
+    return kind, (-value if negative else value)
 
 
-def _tokenize(text: str) -> list[tuple[int, int | None, int]]:
-    """(kind, value, position) tokens of the text, from one regex scan.
+def _positioned(text: str, decoded: dict) -> list[tuple[int, int, int]]:
+    """(kind, value, position) of every token of the text, from one regex scan
+    and the ``decoded`` kinds and values of its tokens.
 
-    Digits are ASCII ``[0-9]`` only: the regex ``\\d`` and ``str.isdecimal``
-    also take other scripts' digits (Arabic-Indic, for one), which are syntax
-    errors here.  Whitespace is what ``str.isspace`` accepts, as ``\\s`` does.
+    Raises the first malformed token's error, so every lexical error comes
+    before any grammar error.  A generator that holds its own ``^-1`` becomes
+    the generator and the power, at the positions of its "s" and its "^".
     """
-    tokens: list[tuple[int, int | None, int]] = []
+    tokens = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        at = m.start(kind)
-        if kind == _OTHER:
-            raise WordSyntaxError(f"unexpected character {m[kind]!r}", at)
-        if kind > _POW:
-            tokens.append((kind, None, at))
-            continue
-        at -= 1  # the number follows the "s", "σ" or "^" that starts the token
-        number = m[kind]
-        digits = number.lstrip("+-")
-        if not digits:
-            raise WordSyntaxError(_MISSING_NUMBER[kind], at)
-        if len(digits) <= MAX_NUMBER_DIGITS:
-            value = int(number)
+        token, at = m[1], m.start(1)
+        kind, value = decoded[token]
+        if kind == _BAD:
+            raise WordSyntaxError(value, at)
+        if kind == _INVERSE:
+            tokens += ((_GEN, value, at), (_POW, -1, at + token.index("^")))
         else:
-            value = _long_decimal(digits, at) * (-1 if number[0] == "-" else 1)
-        tokens.append((kind, value, at))
+            tokens.append((kind, value, at))
     return tokens
-
-
-# One match per flat letter, a generator of at most three digits with an
-# optional ^-1; its group holds the digits and the ^-1.  Any other non-space
-# character matches alone with an empty group, so one findall both reads the
-# letters and tells whether the text is flat.  (A fullmatch of the repeated
-# letter pattern would keep backtracking state for every letter.)
-_FLAT_LETTER = re.compile(r"\s*(?:[sσ]([0-9]{1,3}(?:\s*\^-1)?)|\S)")
-
-
-def _flat_letters(text: str, strands: int) -> tuple[GeneratorLetter, ...] | None:
-    """The letters of flat text, or None if the text needs the full grammar."""
-    items = _FLAT_LETTER.findall(text)  # "2" for s2, "2^-1" or "2 ^-1" for its inverse
-    if len(items) > MAX_WORD_LETTERS:
-        return None
-    table = {}
-    for item in set(items):
-        digits, power, _ = item.partition("^")
-        if not digits:  # a character that is not part of a flat letter
-            return None
-        index = int(digits.rstrip())
-        if not 1 <= index <= strands - 1:
-            return None
-        table[item] = shared_letter(index, -1 if power else 1)
-    # tuple() straight from the map grows the tuple by reallocation, which over
-    # many short words fragments the heap (peak RSS rose about 3% in a loop)
-    return tuple(list(map(table.__getitem__, items)))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -214,7 +199,7 @@ def _mirrored(runs, length: int) -> tuple:
 
 
 def _parse_sequence(
-    tokens: list[tuple[int, int | None, int]], pos: int, depth: int, strands: int
+    tokens: list[tuple[int, int, int]], pos: int, depth: int, strands: int
 ) -> tuple[list[GeneratorLetter], list[tuple], int]:
     """Letters and power runs of the items from token ``pos`` up to an unmatched
     ")" or the end, and the position of that token.
@@ -283,21 +268,29 @@ def _parse_sequence(
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse braid word text into a flat BraidWord over the given strand count.
 
-    The word's ``powers`` record the runs its ``^k`` tokens wrote.  Flat text
-    (generators, ``^-1`` and whitespace) is read in one regex pass; every
-    other text goes through the tokenizer, and so does flat text that would
-    raise, so both paths give the same word and the same errors.  Raises
-    WordSyntaxError with the character position for malformed text, for
-    generator indices that exceed strands - 1, for groups nested deeper than
-    MAX_NESTING_DEPTH and for words that expand past MAX_WORD_LETTERS
-    letters.  The empty string parses to the identity word.
+    The text is read by one regex scan, and each distinct token is decoded
+    once.  When every token is a generator in range (flat text) and there are
+    at most MAX_WORD_LETTERS of them, the letters come from a table of those
+    tokens; any other text goes through the grammar.  The word's ``powers``
+    record the runs its ``^k`` tokens wrote.  Raises WordSyntaxError with the
+    character position for malformed text, for generator indices that exceed
+    strands - 1, for groups nested deeper than MAX_NESTING_DEPTH and for
+    words that expand past MAX_WORD_LETTERS letters.  The empty string parses
+    to the identity word.
     """
     if strands < 2:
         raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
-    letters = _flat_letters(text, strands)
-    if letters is not None:
-        return BraidWord(strands, letters)
-    letters, runs, _ = _parse_sequence(_tokenize(text), 0, 0, strands)
+    tokens = _TOKEN.findall(text)
+    decoded, table = {}, {}
+    for token in set(tokens):
+        kind, value = decoded[token] = _decode(token)
+        if kind in (_GEN, _INVERSE) and 1 <= value <= strands - 1:
+            table[token] = shared_letter(value, -1 if kind == _INVERSE else 1)
+    if len(table) == len(decoded) and len(tokens) <= MAX_WORD_LETTERS:
+        # tuple() straight from the map grows the tuple by reallocation, which over
+        # many short words fragments the heap (peak RSS rose about 3% in a loop)
+        return BraidWord(strands, tuple(list(map(table.__getitem__, tokens))))
+    letters, runs, _ = _parse_sequence(_positioned(text, decoded), 0, 0, strands)
     word = BraidWord(strands, tuple(letters))
     if runs:
         object.__setattr__(word, "powers", tuple(runs))

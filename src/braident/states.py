@@ -70,9 +70,15 @@ class DensityMatrix:
     _from_projector: bool = field(init=False, default=False, compare=False, repr=False)
 
     def __post_init__(self):
-        dim = 2**self.qubits
+        if self.qubits < 1:
+            raise ValueError(f"need at least one qubit, got {self.qubits}")
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (dim, dim):
+        # the side's bit length bounds qubits before 2**qubits is formed
+        if (
+            m.ndim != 2
+            or m.shape[0].bit_length() != self.qubits + 1
+            or m.shape != (2**self.qubits,) * 2
+        ):
             raise ValueError(f"matrix shape {m.shape} does not match 2^{self.qubits}")
         if not np.isfinite(m).all():  # NaN would pass every check below
             raise ValueError("density matrix has a non-finite entry")

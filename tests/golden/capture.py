@@ -2,8 +2,9 @@
 
 ``cases.json`` maps a case id to the argv of one ``braident`` command; every
 case runs in text and in json format.  This script runs each one in-process
-and writes its stdout to ``<id>.<format>.out`` and its exit code back into
-``cases.json``.  Run it only on a tree whose output is known to be right:
+and writes its stdout to ``<id>.<format>.out`` and its exit code and stderr
+(the ``error:`` and ``warning:`` lines) back into ``cases.json``.  Run it only
+on a tree whose output is known to be right:
 
     PYTHONPATH=src python tests/golden/capture.py
 """
@@ -21,20 +22,21 @@ HERE = Path(__file__).resolve().parent
 FORMATS = ("text", "json")
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def capture() -> None:
     cases = json.loads((HERE / "cases.json").read_text(encoding="utf-8"))
     for case_id, case in cases.items():
-        case["exit"] = {}
+        case["exit"], case["stderr"] = {}, {}
         for fmt in FORMATS:
-            code, stdout = run(case["argv"] + ["--format", fmt])
+            code, stdout, stderr = run(case["argv"] + ["--format", fmt])
             case["exit"][fmt] = code
+            case["stderr"][fmt] = stderr
             (HERE / f"{case_id}.{fmt}.out").write_text(stdout, encoding="utf-8")
     lines = [f"  {json.dumps(case_id)}: {json.dumps(case)}" for case_id, case in cases.items()]
     (HERE / "cases.json").write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -122,6 +123,24 @@ class TestParser:
             parse_braid_word(text, 3)
         assert err.value.position == position
 
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("s9 x", "unexpected character 'x'", 3),  # lexical errors come first
+            (") x", "unexpected character 'x'", 2),
+            ("s1 ^-1 ^2", "power without a preceding generator or group", 7),
+        ],
+    )
+    def test_syntax_error_messages(self, text, message, position):
+        with pytest.raises(WordSyntaxError, match=message) as err:
+            parse_braid_word(text, 3)
+        assert err.value.position == position
+
+    def test_inverse_letter_with_a_longer_exponent(self):
+        word = parse_braid_word("s1^-10", 3)
+        assert codes_of(word) == [-1] * 10
+        assert word.powers == ((0, 1, 10, ()),)
+
     @pytest.mark.parametrize("space", ["\u2003", "\x1c", "\u3000", "\x85"])
     def test_unicode_whitespace_between_tokens(self, space):
         assert parse_braid_word(f"s1{space}s2{space}^-1", 3) == parse_braid_word("s1 s2^-1", 3)
@@ -191,8 +210,9 @@ def flat_texts(draw, strands=3):
 
 
 def grammar_parse(text, strands):
-    """The tokenizer and grammar alone, without the flat-text pass."""
-    letters, runs, _ = braids._parse_sequence(braids._tokenize(text), 0, 0, strands)
+    """The grammar alone, without the letter table of flat text."""
+    decoded = {token: braids._decode(token) for token in braids._TOKEN.findall(text)}
+    letters, runs, _ = braids._parse_sequence(braids._positioned(text, decoded), 0, 0, strands)
     return BraidWord(strands, tuple(letters))
 
 
@@ -204,7 +224,7 @@ def outcome(parse, text, strands):
 
 
 class TestFlatText:
-    """Flat text is read in one regex pass and gives what the grammar gives."""
+    """Flat text takes its letters from the token table and gives what the grammar gives."""
 
     @given(
         st.integers(min_value=2, max_value=9).flatmap(
@@ -213,9 +233,11 @@ class TestFlatText:
     )
     def test_fast_path_matches_the_grammar(self, case):
         n, text = case
-        assert braids._flat_letters(text, n) is not None
-        word = parse_braid_word(text, n)
-        assert word == parse_braid_word("(" + text + ")", n)  # a group takes the grammar
+        with mock.patch.object(braids, "_parse_sequence", wraps=braids._parse_sequence) as grammar:
+            word = parse_braid_word(text, n)
+            assert not grammar.called  # flat text never reaches the grammar
+            assert word == parse_braid_word("(" + text + ")", n)  # a group takes the grammar
+            assert grammar.called
         assert word.powers == ()
         assert all(letter is shared_letter(letter.index, letter.sign) for letter in word.letters)
 
@@ -252,6 +274,12 @@ class TestFlatText:
         with pytest.raises(WordSyntaxError, match="past 5 letters") as err:
             parse_braid_word("s1 " * 6, 3)
         assert err.value.position == 15
+
+    def test_letter_cap_error_points_at_the_power_of_an_inverse(self, monkeypatch):
+        monkeypatch.setattr(braids, "MAX_WORD_LETTERS", 5)
+        with pytest.raises(WordSyntaxError, match="past 5 letters") as err:
+            parse_braid_word("s1^-1 " * 6, 3)
+        assert err.value.position == 32  # the sixth "^", not its "s"
 
     def test_long_text_keeps_no_state_per_letter(self):
         rng = random.Random(7)

@@ -1,4 +1,4 @@
-"""Byte-for-byte CLI outputs recorded in tests/golden (see capture.py there)."""
+"""Byte-for-byte CLI outputs and stderr lines recorded in tests/golden (see capture.py there)."""
 
 import contextlib
 import io
@@ -17,8 +17,9 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_cli_output_matches_golden(case_id, fmt):
     case = CASES[case_id]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(case["argv"] + ["--format", fmt])
     assert code == case["exit"][fmt]
+    assert err.getvalue() == case["stderr"][fmt]
     assert out.getvalue() == (GOLDEN / f"{case_id}.{fmt}.out").read_text(encoding="utf-8")

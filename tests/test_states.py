@@ -84,6 +84,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(1, np.diag([1.5, -0.5]))
 
+    def test_density_matrix_checks_its_qubit_count(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            DensityMatrix(0, [[1]])
+        with pytest.raises(ValueError, match="does not match"):
+            DensityMatrix(10**8, np.eye(2) / 2)  # rejected before 2**qubits is formed
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_density_matrix_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
