@@ -7,7 +7,8 @@ tripartite entanglement apart:
 * von Neumann entropy of reductions (base 2),
 * Schmidt coefficients across any bipartition,
 * the three-tangle (four times the modulus of Cayley's 2x2x2
-  hyperdeterminant of the amplitude tensor),
+  hyperdeterminant, the discriminant of det(x A0 + y A1) for the two
+  amplitude slices A0, A1 of qubit 1),
 * the residual profile: measure each qubit in the computational basis and
   record outcome probability and leftover two-qubit concurrence.
 
@@ -88,7 +89,7 @@ def vn_entropy(dm: DensityMatrix) -> float:
     """Von Neumann entropy in bits; eigenvalues below 1e-14 count as exact zeros."""
     values = np.linalg.eigvalsh(dm.matrix)
     values = values[values > _EIG_FLOOR]
-    return float(-np.sum(values * np.log2(values)))
+    return max(0.0, float(-np.sum(values * np.log2(values))))
 
 
 def schmidt_coefficients(state: PureState, left) -> np.ndarray:
@@ -107,41 +108,24 @@ def schmidt_coefficients(state: PureState, left) -> np.ndarray:
 
 
 def three_tangle(state: PureState) -> float:
-    """Residual tripartite entanglement: 4 |Hdet(a)| for the 2x2x2 amplitude array.
+    """Residual tripartite entanglement 4 |Hdet(a)| of the 2x2x2 amplitude array.
 
-    Hdet is Cayley's hyperdeterminant,
+    Cayley's hyperdeterminant Hdet is the discriminant m^2 - 4 d0 d1 of the
+    binary quadratic det(x A0 + y A1), where A0 and A1 are the 2x2 amplitude
+    slices for qubit 1 = 0 and 1: d0 = det A0, d1 = det A1 and m is the mixed
+    term.  So the value is also 4 |det tau| for the symmetric 2x2 matrix
+    tau = [[-2 d0, -m], [-m, -2 d1]] that gives the (2,3) pair concurrence.
 
-        Hdet = d1 - 2 d2 + 4 d3
-        d1 = a000^2 a111^2 + a001^2 a110^2 + a010^2 a101^2 + a100^2 a011^2
-        d2 = sum of the six products a000 a111 a_x a_y pairing complementary
-             index pairs, plus the three fully mixed ones
-        d3 = a000 a110 a101 a011 + a111 a001 a010 a100
-
-    Values lie in [0, 1]: 1 for the GHZ class representatives used here, 0
-    for product and W-class states.
+    Values lie in [0, 1] up to rounding: 1 for the GHZ class representatives
+    used here, 0 for product and W-class states.
     """
     if state.qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {state.qubits} qubits")
-    a = state.amplitudes.reshape(2, 2, 2)
-    d1 = (
-        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
-    )
-    d2 = (
-        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
-        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
-    )
-    d3 = (
-        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
-        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
-    )
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+    a000, a001, a010, a011, a100, a101, a110, a111 = state.amplitudes.tolist()
+    d0 = a000 * a011 - a001 * a010
+    d1 = a100 * a111 - a101 * a110
+    m = a000 * a111 + a100 * a011 - a001 * a110 - a101 * a010
+    return 4.0 * abs(m * m - 4.0 * d0 * d1)
 
 
 def residual_profile(state: PureState) -> ResidualProfile:

@@ -287,8 +287,8 @@ def _warn_if_rational_angle(theta: float) -> None:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     # Irrationality of theta/pi is not machine checkable; flag small rationals.
-    ratio = theta / math.pi
-    approx = Fraction(ratio).limit_denominator(1000)
+    ratio = Fraction(theta / math.pi)  # exact, so the gap below is not rounded
+    approx = ratio.limit_denominator(1000)
     if abs(ratio - approx) < 1e-12:
         warnings.warn(
             f"theta = {approx}*pi is a rational multiple of pi; the generator image has "

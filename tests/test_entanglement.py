@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from braident.braids import parse_braid_word
 from braident.cli import LU_DEMO_FACTOR, _jsonable
 from braident.entanglement import (
     ProfileEntry,
@@ -15,9 +17,11 @@ from braident.entanglement import (
     vn_entropy,
 )
 from braident.linalg import haar_unitary
+from braident.reps import evaluate, ge_rep
 from braident.states import (
     ImpossibleOutcomeError,
     PureState,
+    apply,
     apply_local,
     basis_state,
     density,
@@ -63,18 +67,62 @@ def profile_test_states():
     return states
 
 
-def residual_tangle_oracle(state):
+def residual_tangle_oracle(state, focus=1):
     """Three-tangle via tangle minus squared pairwise concurrences.
 
-    tau(1|23) = 4 det(rho_1) for a pure state; the residual after removing
-    the two-qubit concurrences is the genuinely tripartite share.
+    tau(A|BC) = 4 det(rho_A) for a pure state, with A the qubit ``focus``;
+    the residual after removing the two-qubit concurrences C_AB and C_AC is
+    the genuinely tripartite share (Coffman-Kundu-Wootters).
     """
     rho = density(state)
-    rho1 = partial_trace(rho, {1}).matrix
-    tangle_1_23 = 4.0 * np.linalg.det(rho1).real
-    c12 = concurrence_mixed2(partial_trace(rho, {1, 2}))
-    c13 = concurrence_mixed2(partial_trace(rho, {1, 3}))
-    return tangle_1_23 - c12**2 - c13**2
+    rho_a = partial_trace(rho, {focus}).matrix
+    tangle_a_bc = 4.0 * np.linalg.det(rho_a).real
+    b, c = (q for q in (1, 2, 3) if q != focus)
+    c_ab = concurrence_mixed2(partial_trace(rho, {focus, b}))
+    c_ac = concurrence_mixed2(partial_trace(rho, {focus, c}))
+    return tangle_a_bc - c_ab**2 - c_ac**2
+
+
+def cayley_tangle(state):
+    """Three-tangle as 4 |Hdet(a)|, Cayley's hyperdeterminant written out.
+
+        Hdet = d1 - 2 d2 + 4 d3
+        d1 = a000^2 a111^2 + a001^2 a110^2 + a010^2 a101^2 + a100^2 a011^2
+        d2 = sum of the six products a000 a111 a_x a_y pairing complementary
+             index pairs, plus the three fully mixed ones
+        d3 = a000 a110 a101 a011 + a111 a001 a010 a100
+    """
+    a = state.amplitudes.reshape(2, 2, 2)
+    d1 = (
+        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
+        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
+        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+    )
+    d2 = (
+        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
+        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
+    )
+    d3 = (
+        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
+    )
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+
+
+def tangle_test_states():
+    """500 Gaussian states and 250 local-unitary images each of GHZ and phi."""
+    rng = np.random.default_rng(89)
+    states = [random_state(rng, 3) for _ in range(500)]
+    for name in ("ghz", "phi"):
+        for _ in range(250):
+            factors = [haar_unitary(2, rng) for _ in range(3)]
+            states.append(apply_local(named_state(name), factors))
+    return states
 
 
 class TestPureConcurrence:
@@ -141,6 +189,16 @@ class TestEntropy:
     def test_pure_projector_has_zero_entropy(self):
         assert vn_entropy(density(named_state("bell"))) == pytest.approx(0.0, abs=1e-10)
 
+    def test_pure_reductions_give_positive_zero(self):
+        product = apply(evaluate(ge_rep(), parse_braid_word("s1", 3)), basis_state("000"))
+        for dm in (
+            partial_trace(density(basis_state("000")), {1}),
+            partial_trace(density(product), {3}),
+        ):
+            value = vn_entropy(dm)
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0
+
     def test_maximally_mixed_reductions(self):
         for name in ("bell", "ghz"):
             reduced = partial_trace(density(named_state(name)), {1})
@@ -190,6 +248,21 @@ class TestThreeTangle:
     def test_qubit_count_enforced(self):
         with pytest.raises(ValueError, match="3-qubit"):
             three_tangle(named_state("bell"))
+
+    def test_matches_cayley_expansion(self):
+        worst = max(abs(three_tangle(s) - cayley_tangle(s)) for s in tangle_test_states())
+        assert worst <= 2e-15
+        ghz = named_state("ghz")
+        exact = [ghz, named_state("phi"), w_state(), basis_state("000"), basis_state("101")]
+        exact += [apply_local(ghz, [f] * 3) for f in (LU_DEMO_FACTOR, -LU_DEMO_FACTOR, np.eye(2))]
+        for state in exact:
+            assert three_tangle(state) == cayley_tangle(state)
+
+    def test_ckw_identity_for_every_focus_qubit(self):
+        for state in tangle_test_states():
+            tangle = three_tangle(state)
+            for focus in (1, 2, 3):
+                assert abs(tangle - residual_tangle_oracle(state, focus)) <= 1e-13
 
     def test_matches_residual_tangle_oracle(self):
         for state, expected in (

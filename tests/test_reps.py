@@ -69,8 +69,16 @@ class TestB2Rep:
         assert is_unitary(rep.generator_images[0], 1e-12)
 
     def test_rational_angle_warns(self):
-        for theta in (0.0, np.pi / 4, np.pi):
-            with pytest.warns(UserWarning, match="rational multiple of pi"):
+        for theta, fraction in (
+            (0.0, "0"),
+            (np.pi / 4, "1/4"),
+            (np.pi, "1"),
+            (np.pi / 3, "1/3"),
+            (2 * np.pi / 7, "2/7"),
+            (1e4 * np.pi, "10000"),
+            ((5000 + 1 / 3) * np.pi, "15001/3"),
+        ):
+            with pytest.warns(UserWarning, match=rf"^theta = {fraction}\*pi is a rational multiple of pi"):
                 b2_rep(theta)
 
     def test_irrational_angle_does_not_warn(self):
@@ -78,6 +86,8 @@ class TestB2Rep:
             warnings.simplefilter("error")
             b2_rep(1.0)
             ge_rep(0.37)
+            # 1e11/pi lies 5.1e-7 from the nearest fraction with denominator <= 1000
+            b2_rep(1e11)
 
     def test_vacuous_relations(self):
         report = verify_relations(b2_rep(1.0))
