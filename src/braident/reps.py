@@ -62,22 +62,30 @@ A stretch of letters between such runs that holds at least three whole
 segments of SEGMENT letters is first freely reduced: every adjacent
 ``s_i s_i^-1`` pair cancels in the group, so it is dropped instead of being
 multiplied out (a random literal word on two generators keeps about half its
-letters).  On whole-register representations (b2, ge, jones) a reduced
-stretch that still holds three whole segments is cut into segments (below
-that the batched fold is slower than the letter loop).  All whole segments
-are folded side by side, one letter position per batched matmul.  Their
-products are then multiplied in written order, and the tail of fewer than
-SEGMENT letters is folded letter by letter.
+letters).  On whole-register representations (b2, ge, jones) the whole
+segments of a reduced stretch that still holds three of them are folded from
+a table.  A word over s signed letters has only s^g distinct runs of g
+letters (grams); g is the largest divisor of SEGMENT with s^g <= SEGMENT,
+4 on ge and jones and 8 on b2.  The products of all s^g grams are formed
+once per stretch, the segments are read as grams, and each chunk of SEGMENT
+grams is gathered from the table and multiplied pairwise in a tree.  The
+chunk products are then multiplied in written order, and the tail of fewer
+than SEGMENT letters is folded letter by letter.
 
-Such a word's product is therefore associated as a product of run powers
-and segment products of the reduced letters, not as a pure left fold of
-the written letters, and can differ from it in the last bits; fewer
-products also mean less rounding.  On a whole-register representation a
-word of at most SEGMENT letters has no long run and takes exactly the
-per-letter steps, so its product is bit for bit the left fold; so is a
-word with no long run and fewer than 3 SEGMENT letters.  The tests pin
-both.  Fused groups on local blocks reassociate the product too, so there
-the left fold holds within rounding, not bit for bit.
+Such a word's product is therefore associated as a product of run powers,
+gram products and tree products of the reduced letters, not as a pure left
+fold of the written letters, and can differ from it in the last bits.  A
+tree's worst-case rounding bound grows with the log of the factor count, not
+with the count (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed.).  Measured unitarity drift is about that of the left fold: within a
+fifth of it, on either side, for random ge and jones words, and about twice
+it for a literal power of the b2 generator, whose one gram's rounding
+repeats in every factor.  On a whole-register representation a word of at
+most SEGMENT letters has no long run and takes exactly the per-letter steps,
+so its product is bit for bit the left fold; so is a word with no long run
+and fewer than 3 SEGMENT letters.  The tests pin both.  Fused groups on
+local blocks reassociate the product too, so there the left fold holds
+within rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -95,9 +103,10 @@ from .linalg import DEFAULT_TOL, equal_up_to_phase
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
 
-# Letters per segment of evaluate's lockstep fold, and the length above which a
-# power run is raised by squaring; a word of at most this many letters is
-# multiplied out one letter after another.
+# Letters per segment of evaluate's table fold, which also multiplies its grams
+# this many at a time, and the length above which a power run is raised by
+# squaring; a word of at most this many letters is multiplied out one letter
+# after another.
 SEGMENT = 256
 
 # Qubits a fused group of local-block letters may span in evaluate.
@@ -368,31 +377,34 @@ def generic_rep(u, strands: int) -> Representation:
 
 
 def _fold_segments(rep: Representation, codes: np.ndarray) -> np.ndarray:
-    """Transposed product of whole-register letters, folded SEGMENT letters at a time.
+    """Transposed product of whole-register letters, from a table of letter grams.
 
-    ``codes`` holds whole segments of signed indices.  Every segment starts
-    from the identity and takes one letter per step: one gather of the step
-    images and one batched matmul advance all segments together, each slice
-    by the same product the per-letter loop forms.  The segment products are
-    then multiplied in written order.
+    ``codes`` holds whole segments of signed indices.  With s signed letters,
+    a gram is a run of g letters, g the largest divisor of SEGMENT with
+    s^g <= SEGMENT (4 on three strands, 8 on two), so every segment is whole
+    grams.  The products of all s^g grams are formed first, in g - 1 batched
+    matmuls, each extending every shorter gram by every letter.  The word's
+    grams are then gathered from that table SEGMENT at a time, each chunk is
+    multiplied pairwise in a tree, and the chunk products are multiplied in
+    written order.
     """
     n, d = rep.strands, rep.dimension
-    eye = np.eye(d, dtype=complex)
-    # table[c + n - 1] is the step image of signed index c (c = 0 is unused)
-    table = np.stack([rep.steps[c][0] if c else eye for c in range(1 - n, n)])
-    columns = codes.reshape(-1, SEGMENT).T + (n - 1)  # row j: letter j of every segment
-    gathered = np.empty((columns.shape[1], d, d), dtype=complex)
-    acc = np.empty_like(gathered)
-    acc[:] = eye
-    spare = np.empty_like(gathered)
-    for column in columns:
-        # buffered (mode="clip" fills out in place): a plain table[column] @ acc fold is slower
-        np.take(table, column, axis=0, out=gathered, mode="clip")
-        np.matmul(gathered, acc, out=spare)
-        acc, spare = spare, acc
-    p = acc[0]
-    for segment in acc[1:]:
-        p = segment @ p
+    letters = [c for c in range(1 - n, n) if c]  # letter c is symbol c + n - 1 - (c > 0)
+    s = len(letters)
+    g = max(k for k in range(1, SEGMENT.bit_length()) if SEGMENT % k == 0 and s**k <= SEGMENT)
+    first = np.stack([rep.steps[c][0] for c in letters])
+    table = first
+    for _ in range(g - 1):  # table[i * s + j]: gram i, then symbol j
+        table = np.matmul(first, table[:, None]).reshape(-1, d, d)
+    symbols = codes + (n - 1) - (codes > 0)
+    grams = symbols.reshape(-1, g) @ s ** np.arange(g - 1, -1, -1)
+    p = None
+    for start in range(0, len(grams), SEGMENT):
+        images = table[grams[start : start + SEGMENT]]
+        while len(images) > 1:  # later factors multiply on the left
+            paired = np.matmul(images[1::2], images[0:-1:2])
+            images = np.concatenate((paired, images[-1:])) if len(images) % 2 else paired
+        p = images[0] if p is None else images[0] @ p
     return p
 
 
@@ -446,9 +458,10 @@ def _fold(
     A stretch of at least three whole segments is freely reduced first.  On
     a whole-register representation a reduced stretch that still holds three
     whole segments goes through ``_fold_segments``; shorter stretches, and
-    the tail, take one step per letter (the batched fold costs more than the
-    letter loop below about 700 letters).  On local blocks the letters take
-    one step per fused group (``_fused_steps``).
+    the tail, take one step per letter.  The table fold is cheaper than the
+    letter loop from a single segment on; the threshold keeps every stretch
+    below three segments bit for bit the left fold.  On local blocks the
+    letters take one step per fused group (``_fused_steps``).
     """
     if lo == hi:
         return p
@@ -511,10 +524,11 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     letters (``word.powers``) costs one period's product and about
     2 log2(count) matmuls.  A stretch of at least three whole segments
     between such runs is freely reduced first, so its cancelling
-    ``s_i s_i^-1`` pairs cost nothing; on whole-register representations a
-    reduced stretch that still holds three whole segments is folded segment
-    by segment.  A word of at most SEGMENT letters is multiplied out one
-    letter after another.
+    ``s_i s_i^-1`` pairs cost nothing; on whole-register representations the
+    whole segments of a reduced stretch that still holds three of them are
+    read as runs of 4 (ge, jones) or 8 (b2) letters, whose products come
+    from a table formed once, and multiplied pairwise in a tree.  A word of
+    at most SEGMENT letters is multiplied out one letter after another.
     """
     if word.strands != rep.strands:
         raise ValueError(

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -428,6 +429,63 @@ class TestReducedFold:
             expected = written_order_product(rep.generator_images, free_reduce(tail), rep.dimension)
             assert product.tobytes() == expected.tobytes()
         assert folded == []
+
+
+class TestTableFold:
+    """Words that cannot cancel reach ``_fold_segments`` on every whole-register rep."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        folded = []
+        fold = reps._fold_segments
+        monkeypatch.setattr(
+            reps, "_fold_segments", lambda rep, codes: folded.append(len(codes)) or fold(rep, codes)
+        )
+        return folded
+
+    @pytest.mark.parametrize("length", [3 * SEGMENT, 3 * SEGMENT + 1, 5 * SEGMENT + 3])
+    def test_positive_words_match_the_dense_product(self, monkeypatch, length):
+        folded = self.spy(monkeypatch)
+        rng = np.random.default_rng(560 + length)
+        for rep in (b2_rep(1.0), ge_rep(0.37), jones_rep()):
+            word = word_of(rep.strands, rng.integers(1, rep.strands, size=length).tolist())
+            product = evaluate(rep, word)
+            expected = written_order_product(rep.generator_images, word, rep.dimension)
+            assert np.max(np.abs(product - expected)) < 1e-12
+            assert unitarity_drift(product) <= 1e-10
+        assert folded == [length // SEGMENT * SEGMENT] * 3
+
+    def test_grams_divide_the_segment_on_more_letters(self, monkeypatch):
+        # six signed letters: 6^3 <= SEGMENT, but 3 does not divide SEGMENT, so grams are pairs
+        folded = self.spy(monkeypatch)
+        rng = np.random.default_rng(570)
+        blocks = [(haar_unitary(16, rng), 1) for _ in range(3)]
+        rep = reps._assemble("whole", 4, blocks, {}, require_braiding=False)
+        codes = []
+        while len(codes) < 4 * SEGMENT + 5:  # freely reduced, so no letter cancels
+            c = int(rng.integers(1, 4)) * int(rng.choice([1, -1]))
+            if not codes or c != -codes[-1]:
+                codes.append(c)
+        word = word_of(4, codes)
+        product = evaluate(rep, word)
+        expected = written_order_product([b for b, _ in blocks], word, 16)
+        assert folded == [4 * SEGMENT]
+        assert np.max(np.abs(product - expected)) < 1e-12
+
+    def test_long_word_keeps_no_image_per_letter(self):
+        rep = jones_rep()
+        word = word_of(3, np.random.default_rng(580).integers(1, 3, size=10**5).tolist())
+        evaluate(rep, word)  # builds the rep's cached steps outside the measurement
+        tracemalloc.start()
+        try:
+            evaluate(rep, word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Measured 3.5 MB: the letter codes as a list and an array, and one
+        # chunk of gathered 8x8 images.  Gathering every image at once would
+        # add about 25 MB.
+        assert peak < 8 * 10**6
 
 
 POWERED_WORDS = [
