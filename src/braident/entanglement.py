@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _branch
+from .states import DensityMatrix, PureState, _branch, _qubit_subset
 
 _EIG_FLOOR = 1e-14
 
@@ -95,11 +95,7 @@ def vn_entropy(dm: DensityMatrix) -> float:
 def schmidt_coefficients(state: PureState, left) -> np.ndarray:
     """Descending singular values of the left|rest bipartition reshaping."""
     n = state.qubits
-    left_sorted = sorted(set(left))
-    if not left_sorted or len(left_sorted) >= n:
-        raise ValueError("left must be a proper nonempty subset of the qubits")
-    if left_sorted[0] < 1 or left_sorted[-1] > n:
-        raise ValueError(f"left set {left_sorted} not a subset of 1..{n}")
+    left_sorted = _qubit_subset(left, n, "left", proper=True)
     rest = [q for q in range(1, n + 1) if q not in left_sorted]
     tensor = state.amplitudes.reshape([2] * n)
     perm = [q - 1 for q in left_sorted + rest]

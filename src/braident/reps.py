@@ -47,45 +47,45 @@ one pass: a group of g letters costs g small matmuls plus one d^2 * 8 pass
 instead of g passes of d^2 * 4.  On a random word each pass takes about
 four letters.
 
-A parsed word's power runs (``BraidWord.powers``, a tree in which each run
-holds the runs of its first period) of more than SEGMENT letters are not
-multiplied out letter by letter.  ``evaluate`` forms the product of the
-run's first period, itself evaluated with the runs that period holds, and
-raises it to the run's count by repeated squaring, about 2 log2(count)
-matmuls; the pieces are multiplied in written order.  A shorter run is
-folded with the letters around it, runs it holds included.  A negative power
-needs no conjugate transpose, since its first period already holds the
-inverted letters.  The same holds for ``generic_rep``: at d <= 256
-one d x d matmul costs about d/4 letter steps.
+Evaluation plan.  One length rule, SEGMENT letters, decides how each part
+of a word is multiplied.  A parsed word's power runs (``BraidWord.powers``,
+a tree in which each run holds the runs of its first period) of more than
+SEGMENT letters are not multiplied out letter by letter: ``evaluate`` forms
+the product of the run's first period, itself evaluated with the runs that
+period holds, and raises it to the run's count by repeated squaring, about
+2 log2(count) matmuls.  A negative power needs no conjugate transpose, since
+its first period already holds the inverted letters.  A shorter run is
+folded with the letters around it, runs it holds included.  The pieces are
+multiplied in written order.  On ``generic_rep`` at d <= 256 one d x d
+matmul costs about d/4 letter steps.
 
-A stretch of letters between such runs that holds at least three whole
-segments of SEGMENT letters is first freely reduced: every adjacent
-``s_i s_i^-1`` pair cancels in the group, so it is dropped instead of being
-multiplied out (a random literal word on two generators keeps about half its
-letters).  On whole-register representations (b2, ge, jones) the whole
-segments of a reduced stretch that still holds three of them are folded from
-a table.  A word over s signed letters has only s^g distinct runs of g
-letters (grams); g is the largest divisor of SEGMENT with s^g <= SEGMENT,
-4 on ge and jones and 8 on b2.  The products of all s^g grams are formed
-once per stretch, the segments are read as grams, and each chunk of SEGMENT
-grams is gathered from the table and multiplied pairwise in a tree.  The
-chunk products are then multiplied in written order, and the tail of fewer
-than SEGMENT letters is folded letter by letter.
+A stretch of more than SEGMENT letters between such runs is first freely
+reduced: every adjacent ``s_i s_i^-1`` pair cancels in the group, so it is
+dropped instead of being multiplied out (a random literal word on two
+generators keeps about half its letters).  On whole-register
+representations (b2, ge, jones) the whole segments of a reduced stretch that
+still holds more than SEGMENT letters are folded from a table.  A word over
+s signed letters has only s^g distinct runs of g letters (grams); g is the
+largest divisor of SEGMENT with s^g <= SEGMENT, 4 on ge and jones and 8 on
+b2.  The products of all s^g grams are formed once per stretch, the
+segments are read as grams, and each chunk of SEGMENT grams is gathered from
+the table and multiplied pairwise in a tree.  The chunk products are then
+multiplied in written order.  Every other stretch, and the tail of fewer
+than SEGMENT letters, takes one step per letter, or per fused group on local
+blocks.
 
-Such a word's product is therefore associated as a product of run powers,
-gram products and tree products of the reduced letters, not as a pure left
-fold of the written letters, and can differ from it in the last bits.  A
-tree's worst-case rounding bound grows with the log of the factor count, not
-with the count (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed.).  Measured unitarity drift is about that of the left fold: within a
-fifth of it, on either side, for random ge and jones words, and about twice
-it for a literal power of the b2 generator, whose one gram's rounding
-repeats in every factor.  On a whole-register representation a word of at
-most SEGMENT letters has no long run and takes exactly the per-letter steps,
-so its product is bit for bit the left fold; so is a word with no long run
-and fewer than 3 SEGMENT letters.  The tests pin both.  Fused groups on
-local blocks reassociate the product too, so there the left fold holds
-within rounding, not bit for bit.
+A word with a longer run or stretch is therefore associated as a product of
+run powers, gram products and tree products of the reduced letters, not as
+a pure left fold of the written letters, and can differ from it in the last
+bits.  A tree's worst-case rounding bound grows with the log of the factor
+count, not with the count (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed.).  Measured unitarity drift is about that of the left
+fold: within a fifth of it, on either side, for random ge and jones words,
+and about twice it for a literal power of the b2 generator, whose one gram's
+rounding repeats in every factor.  On a whole-register representation a
+stretch of at most SEGMENT letters takes exactly the per-letter steps, which
+the tests pin bit for bit.  Fused groups on local blocks reassociate the
+product too, so there the left fold holds within rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ from .linalg import DEFAULT_TOL, equal_up_to_phase
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
 
-# Letters per segment of evaluate's table fold, which also multiplies its grams
-# this many at a time, and the length above which a power run is raised by
-# squaring; a word of at most this many letters is multiplied out one letter
-# after another.
+# evaluate's one length rule: a power run of more than this many letters is
+# raised by squaring, and a longer stretch of letters is freely reduced and,
+# on whole-register blocks, folded from a table in segments of this many
+# letters, whose grams are multiplied this many at a time.
 SEGMENT = 256
 
 # Qubits a fused group of local-block letters may span in evaluate.
@@ -377,16 +377,13 @@ def generic_rep(u, strands: int) -> Representation:
 
 
 def _fold_segments(rep: Representation, codes: np.ndarray) -> np.ndarray:
-    """Transposed product of whole-register letters, from a table of letter grams.
+    """Transposed product of ``codes``, whole segments of whole-register letters.
 
-    ``codes`` holds whole segments of signed indices.  With s signed letters,
-    a gram is a run of g letters, g the largest divisor of SEGMENT with
-    s^g <= SEGMENT (4 on three strands, 8 on two), so every segment is whole
-    grams.  The products of all s^g grams are formed first, in g - 1 batched
-    matmuls, each extending every shorter gram by every letter.  The word's
-    grams are then gathered from that table SEGMENT at a time, each chunk is
-    multiplied pairwise in a tree, and the chunk products are multiplied in
-    written order.
+    The products of all grams (see the module docstring) are formed first,
+    in g - 1 batched matmuls, each extending every shorter gram by every
+    letter.  The grams of ``codes`` are gathered from that table SEGMENT at a
+    time, each chunk is multiplied pairwise in a tree, and the chunk
+    products are multiplied in written order.
     """
     n, d = rep.strands, rep.dimension
     letters = [c for c in range(1 - n, n) if c]  # letter c is symbol c + n - 1 - (c > 0)
@@ -455,23 +452,21 @@ def _fold(
 ) -> np.ndarray | None:
     """Continue the transposed product ``p`` (None: the identity) over letters[lo:hi].
 
-    A stretch of at least three whole segments is freely reduced first.  On
-    a whole-register representation a reduced stretch that still holds three
-    whole segments goes through ``_fold_segments``; shorter stretches, and
-    the tail, take one step per letter.  The table fold is cheaper than the
-    letter loop from a single segment on; the threshold keeps every stretch
-    below three segments bit for bit the left fold.  On local blocks the
-    letters take one step per fused group (``_fused_steps``).
+    A stretch of more than SEGMENT letters is freely reduced, and on a
+    whole-register representation the whole segments of what is left, if
+    more than SEGMENT letters, go through ``_fold_segments``.  The other
+    letters take one step each, or one per fused group (``_fused_steps``) on
+    local blocks.
     """
     if lo == hi:
         return p
     d = rep.dimension
     codes = [letter.sign * letter.index for letter in letters[lo:hi]]
-    if len(codes) >= 3 * SEGMENT:
+    if len(codes) > SEGMENT:
         codes = free_reduce_codes(codes)
     whole = all(len(block) == d for block, _ in rep.blocks)
     folded = 0
-    if len(codes) >= 3 * SEGMENT and whole:
+    if len(codes) > SEGMENT and whole:
         folded = len(codes) // SEGMENT * SEGMENT
         f = _fold_segments(rep, np.fromiter(codes, dtype=np.intp, count=folded))
         p = f if p is None else f @ p.reshape(d, d)
@@ -517,18 +512,10 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     The first letter is the leftmost factor, so the last letter acts first on
     column vectors: "s1 s2" evaluates to sigma_1 @ sigma_2.  Negative letters
     use the conjugate transpose of the generator image.  The empty word
-    evaluates to the identity.  Each letter costs d^2 k for a k x k block
-    (see the module docstring); on local blocks, letters are fused into
-    groups of at most WINDOW qubits, each group costing one d^2 * 8 pass
-    plus one 8 x 8 matmul per letter.  A power run of more than SEGMENT
-    letters (``word.powers``) costs one period's product and about
-    2 log2(count) matmuls.  A stretch of at least three whole segments
-    between such runs is freely reduced first, so its cancelling
-    ``s_i s_i^-1`` pairs cost nothing; on whole-register representations the
-    whole segments of a reduced stretch that still holds three of them are
-    read as runs of 4 (ge, jones) or 8 (b2) letters, whose products come
-    from a table formed once, and multiplied pairwise in a tree.  A word of
-    at most SEGMENT letters is multiplied out one letter after another.
+    evaluates to the identity.  The product is formed by the evaluation
+    plan of the module docstring; a word of at most SEGMENT letters on a
+    whole-register representation is multiplied out one letter after
+    another.
     """
     if word.strands != rep.strands:
         raise ValueError(

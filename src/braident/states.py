@@ -9,6 +9,7 @@ renormalized state on the remaining ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -134,7 +135,7 @@ def apply(operator, state: PureState) -> PureState:
         raise ValueError(f"operator shape {m.shape} does not match 2^{state.qubits}")
     out = m @ state.amplitudes
     norm = np.linalg.norm(out)
-    if abs(norm - 1.0) > DRIFT_TOL:
+    if not abs(norm - 1.0) <= DRIFT_TOL:  # NaN fails too
         raise ValueError(f"operator is not norm preserving (output norm {norm!r})")
     return PureState(state.qubits, out / norm)
 
@@ -203,6 +204,26 @@ def _projector_density(qubits: int, m: np.ndarray) -> DensityMatrix:
     return rho
 
 
+def _qubit_subset(labels, n: int, name: str, proper: bool = False) -> list[int]:
+    """The distinct qubit labels in ascending order, checked against 1..n.
+
+    Each label is read with ``operator.index``, so a float or a string label
+    raises ValueError.  The set must be nonempty and, if ``proper``, must
+    leave out at least one of the n qubits.
+    """
+    try:
+        subset = sorted(set(map(index, labels)))
+    except TypeError:
+        raise ValueError(f"{name} set must hold integer qubit labels, got {labels!r}") from None
+    if proper and not 0 < len(subset) < n:
+        raise ValueError(f"{name} must be a proper nonempty subset of the qubits")
+    if not subset:
+        raise ValueError(f"{name} set must be nonempty")
+    if subset[0] < 1 or subset[-1] > n:
+        raise ValueError(f"{name} set {subset} not a subset of 1..{n}")
+    return subset
+
+
 def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept qubits (ascending original order).
 
@@ -214,11 +235,7 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
     rounding can grow its Hermitian gap under the trace.
     """
     n = dm.qubits
-    kept = sorted(set(keep))
-    if not kept:
-        raise ValueError("keep set must be nonempty")
-    if kept[0] < 1 or kept[-1] > n:
-        raise ValueError(f"keep set {kept} not a subset of 1..{n}")
+    kept = _qubit_subset(keep, n, "keep")
     # einsum labels: qubit i + 1 has row axis i and column axis n + i, or i if traced out
     labels = [*range(n)] + [n + i if i + 1 in kept else i for i in range(n)]
     out = [q - 1 for q in kept] + [n + q - 1 for q in kept]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braident.cli import main
+from braident.cli import entry, main
 
 
 def run_json(capsys, argv):
@@ -339,6 +340,22 @@ STATE_OPTION = ["entangle", "--rep", "ge", "--word", "", "--state"]
 FACTORS_OPTION = ["lu-check", "--factors"]
 KET0 = [[1.0, 0.0]] + [[0.0, 0.0]] * 7  # |000> as [re, im] pairs
 DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["relations", "--rep", "jones"], 0),
+        (["lu-check"], 1),
+        (["eval", "--rep", "jones", "--word", "s9"], 2),
+    ],
+)
+def test_entry_exits_with_mains_code(monkeypatch, capsys, argv, code):
+    # entry is the console script of [project.scripts]; it reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["braident", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    assert exit_info.value.code == code == main(argv)
 
 
 class TestMalformedFiles:

@@ -237,6 +237,11 @@ class TestSchmidt:
         with pytest.raises(ValueError, match="subset"):
             schmidt_coefficients(named_state("ghz"), {5})
 
+    @pytest.mark.parametrize("left", [[1.5], ["1"], [2.0]])
+    def test_non_integer_labels_are_value_errors(self, left):
+        with pytest.raises(ValueError, match="integer qubit labels"):
+            schmidt_coefficients(named_state("ghz"), left)
+
 
 class TestThreeTangle:
     def test_named_values(self):

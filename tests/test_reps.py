@@ -13,6 +13,7 @@ from braident.braids import (
     free_reduce,
     inverse,
     parse_braid_word,
+    render_braid_word,
 )
 from braident import reps
 from braident.linalg import equal_up_to_phase, haar_unitary, is_unitary
@@ -334,7 +335,8 @@ class TestBlockEvaluation:
 
 
 class TestSegmentFold:
-    """Words of three or more SEGMENTs on whole-register reps are folded segment by segment."""
+    """On whole-register reps a word of at most SEGMENT letters is the left fold bit for
+    bit; a longer one is freely reduced and its whole segments folded from a table."""
 
     REPS = None
 
@@ -352,7 +354,7 @@ class TestSegmentFold:
             word = random_word(rng, rep.strands, length=length)
             product = evaluate(rep, word)
             expected = written_order_product(rep.generator_images, word, rep.dimension)
-            if length < 3 * SEGMENT:
+            if length <= SEGMENT:
                 assert product.tobytes() == expected.tobytes()
             else:
                 assert np.max(np.abs(product - expected)) < 1e-12
@@ -380,8 +382,19 @@ def unitarity_drift(m):
     return np.linalg.norm(m @ m.conj().T - np.eye(len(m)))
 
 
+def uncancelled_codes(rng, strands, length):
+    """Random signed codes of which no two neighbours cancel, so free reduction keeps all."""
+    codes = []
+    while len(codes) < length:
+        c = int(rng.integers(1, strands)) * int(rng.choice([1, -1]))
+        if not codes or c != -codes[-1]:
+            codes.append(c)
+    return codes
+
+
 class TestReducedFold:
-    """Stretches of at least 3 SEGMENT letters are freely reduced before the fold."""
+    """Stretches of more than SEGMENT letters are freely reduced, and only what is left
+    decides the fold: more than SEGMENT letters take the table, the rest the letter loop."""
 
     REPS = None
 
@@ -416,15 +429,15 @@ class TestReducedFold:
         assert folded == [len(reduced) // SEGMENT * SEGMENT]
         assert product.tobytes() == evaluate(rep, reduced).tobytes()
 
-    def test_a_word_that_reduces_below_three_segments_takes_the_letter_loop(self, monkeypatch):
+    def test_a_word_that_reduces_to_one_segment_takes_the_letter_loop(self, monkeypatch):
         folded = []
         monkeypatch.setattr(reps, "_fold_segments", lambda rep, codes: folded.append(codes))
         rng = np.random.default_rng(550)
         for rep in self.REPS:
             w = random_word(rng, rep.strands, length=2 * SEGMENT)
-            tail = random_word(rng, rep.strands, length=3 * SEGMENT - 1)
+            tail = word_of(rep.strands, uncancelled_codes(rng, rep.strands, SEGMENT))
             word = concat(concat(w, inverse(w)), tail)
-            assert free_reduce(word) == free_reduce(tail)
+            assert free_reduce(word) == free_reduce(tail) == tail
             product = evaluate(rep, word)
             expected = written_order_product(rep.generator_images, free_reduce(tail), rep.dimension)
             assert product.tobytes() == expected.tobytes()
@@ -454,6 +467,34 @@ class TestTableFold:
             assert np.max(np.abs(product - expected)) < 1e-12
             assert unitarity_drift(product) <= 1e-10
         assert folded == [length // SEGMENT * SEGMENT] * 3
+
+    @pytest.mark.parametrize("length", [SEGMENT + 1, 3 * SEGMENT - 1])
+    def test_stretches_past_one_segment_reach_the_table(self, monkeypatch, length):
+        folded = self.spy(monkeypatch)
+        rng = np.random.default_rng(590 + length)
+        for rep in (b2_rep(1.0), ge_rep(0.37), jones_rep()):
+            word = word_of(rep.strands, uncancelled_codes(rng, rep.strands, length))
+            product = evaluate(rep, word)
+            expected = written_order_product(rep.generator_images, word, rep.dimension)
+            assert np.max(np.abs(product - expected)) < 1e-12
+            assert unitarity_drift(product) <= 1e-10
+        assert folded == [length // SEGMENT * SEGMENT] * 3
+
+    def test_a_stretch_between_runs_reaches_the_table(self, monkeypatch):
+        folded = self.spy(monkeypatch)
+        rng = np.random.default_rng(595)
+        for rep in (b2_rep(1.0), ge_rep(0.37), jones_rep()):
+            n = rep.strands
+            middle = render_braid_word(word_of(n, uncancelled_codes(rng, n, 300)))
+            word = parse_braid_word(f"(s1 s{n - 1})^200 {middle} (s{n - 1} s1)^-150", n)
+            assert [(start, period * count) for start, period, count, _ in word.powers] == [
+                (0, 400), (700, 300)
+            ]
+            product = evaluate(rep, word)
+            expected = written_order_product(rep.generator_images, word, rep.dimension)
+            assert np.max(np.abs(product - expected)) < 1e-12
+            assert unitarity_drift(product) <= 1e-10
+        assert folded == [SEGMENT] * 3
 
     def test_grams_divide_the_segment_on_more_letters(self, monkeypatch):
         # six signed letters: 6^3 <= SEGMENT, but 3 does not divide SEGMENT, so grams are pairs

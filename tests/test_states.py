@@ -139,6 +139,10 @@ class TestApply:
         with pytest.raises(ValueError, match="norm preserving"):
             apply(2 * np.eye(4), basis_state("00"))
 
+    def test_nan_operator_is_not_norm_preserving(self):
+        with pytest.raises(ValueError, match="operator is not norm preserving"):
+            apply(np.full((8, 8), np.nan), named_state("ghz"))
+
     def test_word_then_inverse_restores_state(self):
         from braident.braids import inverse
 
@@ -309,6 +313,16 @@ class TestDensityAndPartialTrace:
             partial_trace(rho, {0, 1})
         with pytest.raises(ValueError, match="subset"):
             partial_trace(rho, {4})
+
+    @pytest.mark.parametrize("keep", [[2.0], [1.5], ["1"], [1, None]])
+    def test_non_integer_labels_are_value_errors(self, keep):
+        with pytest.raises(ValueError, match="integer qubit labels"):
+            partial_trace(density(named_state("ghz")), keep)
+
+    def test_integer_like_labels_are_read_as_qubits(self):
+        rho = density(named_state("phi"))
+        reduced = partial_trace(rho, [np.int64(3), 1, 3])
+        assert reduced.matrix.tobytes() == partial_trace(rho, {1, 3}).matrix.tobytes()
 
 
 class TestApplyLocal:
