@@ -27,14 +27,23 @@ blocks.  ``Representation.relation_report`` measures the residuals on first
 read, and ``verify_relations`` re-judges them at any tolerance;
 ``generator_images`` gives the dense register operators on request.
 
+Finite images.  With e^{i theta} taken out (theta is 0 on jones), the
+generators of b2, ge and jones make finite groups of order 2, 48 and 192
+(Jones, Ann. Math. 126, 1987, on roots of unity with finite image; Kauffman
+and Lomonaco, quant-ph/0401090, on these Bell-basis changes).  ``evaluate``
+reads a word on them as elements of ``Representation.group``, a power run as
+its period's element repeated count mod order times, and reduces the
+elements pairwise through the Cayley table in written order.  The image is
+e^{i theta e} M[g], e the exponent sum: one rounded element at any length.
+
 Conventions.  Strand i acts on qubit i, the i-th tensor factor from the left
 (most significant index bit).  ``evaluate`` multiplies generator images in
 written word order, so the word "s1 s2" becomes the operator product
 sigma_1 sigma_2, whose rightmost factor (the last letter) acts first on kets.
-It keeps that association by accumulating the transpose of the product:
-M <- M (I(x)B(x)I) is P <- (I(x)B^T(x)I) P for P = M^T, one k x k block
-applied along the block's qubits of P.  For a whole-register block this is
-the same floating-point product as M <- M B.
+Every other representation keeps that association by accumulating the
+transpose of the product: M <- M (I(x)B(x)I) is P <- (I(x)B^T(x)I) P for
+P = M^T, one k x k block applied along the block's qubits of P.  For a
+whole-register block this is the same floating-point product as M <- M B.
 
 On local blocks (``generic_rep``) the letters are fused before they reach
 P.  In written order, a letter joins the latest pending group that holds
@@ -47,45 +56,17 @@ one pass: a group of g letters costs g small matmuls plus one d^2 * 8 pass
 instead of g passes of d^2 * 4.  On a random word each pass takes about
 four letters.
 
-Evaluation plan.  One length rule, SEGMENT letters, decides how each part
-of a word is multiplied.  A parsed word's power runs (``BraidWord.powers``,
-a tree in which each run holds the runs of its first period) of more than
-SEGMENT letters are not multiplied out letter by letter: ``evaluate`` forms
-the product of the run's first period, itself evaluated with the runs that
-period holds, and raises it to the run's count by repeated squaring, about
-2 log2(count) matmuls.  A negative power needs no conjugate transpose, since
-its first period already holds the inverted letters.  A shorter run is
-folded with the letters around it, runs it holds included.  The pieces are
-multiplied in written order.  On ``generic_rep`` at d <= 256 one d x d
-matmul costs about d/4 letter steps.
-
-A stretch of more than SEGMENT letters between such runs is first freely
-reduced: every adjacent ``s_i s_i^-1`` pair cancels in the group, so it is
-dropped instead of being multiplied out (a random literal word on two
-generators keeps about half its letters).  On whole-register
-representations (b2, ge, jones) the whole segments of a reduced stretch that
-still holds more than SEGMENT letters are folded from a table.  A word over
-s signed letters has only s^g distinct runs of g letters (grams); g is the
-largest divisor of SEGMENT with s^g <= SEGMENT, 4 on ge and jones and 8 on
-b2.  The products of all s^g grams are formed once per stretch, the
-segments are read as grams, and each chunk of SEGMENT grams is gathered from
-the table and multiplied pairwise in a tree.  The chunk products are then
-multiplied in written order.  Every other stretch, and the tail of fewer
-than SEGMENT letters, takes one step per letter, or per fused group on local
-blocks.
-
-A word with a longer run or stretch is therefore associated as a product of
-run powers, gram products and tree products of the reduced letters, not as
-a pure left fold of the written letters, and can differ from it in the last
-bits.  A tree's worst-case rounding bound grows with the log of the factor
-count, not with the count (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed.).  Measured unitarity drift is about that of the left
-fold: within a fifth of it, on either side, for random ge and jones words,
-and about twice it for a literal power of the b2 generator, whose one gram's
-rounding repeats in every factor.  On a whole-register representation a
-stretch of at most SEGMENT letters takes exactly the per-letter steps, which
-the tests pin bit for bit.  Fused groups on local blocks reassociate the
-product too, so there the left fold holds within rounding, not bit for bit.
+Evaluation plan on every other representation.  One length rule applies,
+SEGMENT letters.  A power run (``BraidWord.powers``, a tree in which each run
+holds the runs of its first period) of more than SEGMENT letters is its
+first period's product, evaluated with the runs that period holds, raised to
+the count by repeated squaring: about 2 log2(count) matmuls, where on
+``generic_rep`` at d <= 256 one d x d matmul costs about d/4 letter steps.
+For a negative power the first period already holds the inverted letters.
+Shorter runs are folded with the letters around them.  A longer stretch
+between runs is first freely reduced, since each ``s_i s_i^-1`` pair cancels
+(a random literal word on two generators keeps about half its letters).
+Such a word can differ from the left fold of its letters in the last bits.
 """
 
 from __future__ import annotations
@@ -101,12 +82,10 @@ import numpy as np
 from .braids import BraidWord, free_reduce_codes
 from .linalg import DEFAULT_TOL, equal_up_to_phase
 
-DEFAULT_THETA = 1.0  # 1/pi is irrational, so the default angle is faithful
+DEFAULT_THETA = 1.0  # 1/pi is irrational, so b2 is faithful at the default angle
 
-# evaluate's one length rule: a power run of more than this many letters is
-# raised by squaring, and a longer stretch of letters is freely reduced and,
-# on whole-register blocks, folded from a table in segments of this many
-# letters, whose grams are multiplied this many at a time.
+# evaluate's one length rule without a finite image group: a longer power run
+# is raised by squaring, and a longer stretch of letters is freely reduced.
 SEGMENT = 256
 
 # Qubits a fused group of local-block letters may span in evaluate.
@@ -141,6 +120,35 @@ class Representation:
     dimension: int
     blocks: tuple[tuple[np.ndarray, int], ...]
     parameters: dict = field(default_factory=dict)
+    phase: float | None = None  # theta on b2 and ge, 0 on jones: see ``group``
+
+    @cached_property
+    def group(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The finite group of the unphased generators e^{-i phase} B: its elements
+        (identity first), Cayley table (``table[g, h]`` is g h) and the element of
+        each signed letter c at index c.  Each breadth-first layer is one matmul;
+        the column of h = p l, p its parent, is p's column times l."""
+        n, d = self.strands, self.dimension
+        codes = [*range(1, n), *range(1 - n, 0)]
+        unphased = np.exp(-1j * self.phase) * np.stack([block for block, _ in self.blocks])
+        images = np.stack([unphased[c - 1] if c > 0 else unphased[-c - 1].conj().T for c in codes])
+        elements, parents, right = [np.eye(d, dtype=complex)], [], []
+        keys = {_rounded(elements[0]).tobytes(): 0}
+        while len(right) < len(elements):  # one breadth-first layer per pass
+            layer = np.matmul(np.stack(elements[len(right) :])[:, None], images)
+            for row, row_keys in zip(layer, _rounded(layer)):
+                right.append([keys.setdefault(key.tobytes(), len(keys)) for key in row_keys])
+                for j, h in enumerate(right[-1]):
+                    if h == len(elements):
+                        elements.append(row[j])
+                        parents.append((len(right) - 1, j))
+        right = np.array(right)
+        table = np.empty((len(elements),) * 2, dtype=np.min_scalar_type(len(elements)))
+        table[:, 0] = np.arange(len(elements))
+        for h, (p, j) in enumerate(parents, start=1):
+            table[:, h] = right[table[:, p], j]
+        letters = np.concatenate(([0], right[0]))  # a negative code counts from the end
+        return _frozen(np.stack(elements)), _frozen(table), _frozen(letters)
 
     @cached_property
     def relation_report(self) -> RelationReport:
@@ -190,6 +198,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _rounded(a: np.ndarray) -> np.ndarray:
+    """Group element keys: entries in quarters, finer than the 0.5 between elements."""
+    return np.rint(4 * a.view(float)).astype(np.int8)
 
 
 def _span(block: np.ndarray, first: int) -> tuple[int, int]:
@@ -267,6 +280,7 @@ def _assemble(
     blocks: list[tuple[np.ndarray, int]],
     parameters: dict,
     require_braiding: bool,
+    phase: float | None = None,
 ) -> Representation:
     """Check and freeze (block, first qubit) generators into a Representation.
 
@@ -283,7 +297,7 @@ def _assemble(
         if not math.sqrt(d / k) * defect <= DEFAULT_TOL:
             raise ValueError(f"image of generator {i} is not unitary within {DEFAULT_TOL}")
         frozen.append((block, first))
-    rep = Representation(name, strands, d, tuple(frozen), parameters)
+    rep = Representation(name, strands, d, tuple(frozen), parameters, phase)
     if require_braiding and not rep.relation_report.passed:
         raise ValueError(
             f"defining relations violated for representation {name!r} "
@@ -326,15 +340,17 @@ def yang_baxter_unitary(theta: float) -> np.ndarray:
 def b2_rep(theta: float = DEFAULT_THETA) -> Representation:
     """Two-strand representation on two qubits; no braiding relation applies."""
     _warn_if_rational_angle(theta)
-    return _assemble("b2", 2, [(b2_generator(theta), 1)], {"theta": theta}, require_braiding=True)
+    blocks = [(b2_generator(theta), 1)]
+    return _assemble("b2", 2, blocks, {"theta": theta}, require_braiding=True, phase=theta)
 
 
 def ge_rep(theta: float = DEFAULT_THETA) -> Representation:
     """Three-strand product representation sigma_1 = U(x)I, sigma_2 = I(x)U."""
-    _warn_if_rational_angle(theta)
+    if not math.isfinite(theta):  # no angle warns: the unphased image has order 48 at all
+        raise ValueError(f"theta must be finite, got {theta}")
     u = yang_baxter_unitary(theta)
     blocks = [(np.kron(u, _I2), 1), (np.kron(_I2, u), 1)]
-    return _assemble("ge", 3, blocks, {"theta": theta}, require_braiding=True)
+    return _assemble("ge", 3, blocks, {"theta": theta}, require_braiding=True, phase=theta)
 
 
 JONES_A = np.exp(3j * np.pi / 8)
@@ -355,7 +371,7 @@ def jones_rep() -> Representation:
     """Three-strand Jones representation sigma_i = A t_i + A^{-1} I, A = e^{3 pi i/8}."""
     eye = np.eye(8, dtype=complex)
     blocks = [(JONES_A * t + JONES_A**-1 * eye, 1) for t in temperley_lieb_generators()]
-    return _assemble("jones", 3, blocks, {"A": JONES_A}, require_braiding=True)
+    return _assemble("jones", 3, blocks, {"A": JONES_A}, require_braiding=True, phase=0.0)
 
 
 def generic_rep(u, strands: int) -> Representation:
@@ -374,35 +390,6 @@ def generic_rep(u, strands: int) -> Representation:
         raise ValueError(f"at most 8 strands supported, got {strands}")
     blocks = [(u, i) for i in range(1, strands)]
     return _assemble("generic", strands, blocks, {}, require_braiding=False)
-
-
-def _fold_segments(rep: Representation, codes: np.ndarray) -> np.ndarray:
-    """Transposed product of ``codes``, whole segments of whole-register letters.
-
-    The products of all grams (see the module docstring) are formed first,
-    in g - 1 batched matmuls, each extending every shorter gram by every
-    letter.  The grams of ``codes`` are gathered from that table SEGMENT at a
-    time, each chunk is multiplied pairwise in a tree, and the chunk
-    products are multiplied in written order.
-    """
-    n, d = rep.strands, rep.dimension
-    letters = [c for c in range(1 - n, n) if c]  # letter c is symbol c + n - 1 - (c > 0)
-    s = len(letters)
-    g = max(k for k in range(1, SEGMENT.bit_length()) if SEGMENT % k == 0 and s**k <= SEGMENT)
-    first = np.stack([rep.steps[c][0] for c in letters])
-    table = first
-    for _ in range(g - 1):  # table[i * s + j]: gram i, then symbol j
-        table = np.matmul(first, table[:, None]).reshape(-1, d, d)
-    symbols = codes + (n - 1) - (codes > 0)
-    grams = symbols.reshape(-1, g) @ s ** np.arange(g - 1, -1, -1)
-    p = None
-    for start in range(0, len(grams), SEGMENT):
-        images = table[grams[start : start + SEGMENT]]
-        while len(images) > 1:  # later factors multiply on the left
-            paired = np.matmul(images[1::2], images[0:-1:2])
-            images = np.concatenate((paired, images[-1:])) if len(images) % 2 else paired
-        p = images[0] if p is None else images[0] @ p
-    return p
 
 
 def _fused_steps(rep: Representation, codes: list[int]):
@@ -452,11 +439,9 @@ def _fold(
 ) -> np.ndarray | None:
     """Continue the transposed product ``p`` (None: the identity) over letters[lo:hi].
 
-    A stretch of more than SEGMENT letters is freely reduced, and on a
-    whole-register representation the whole segments of what is left, if
-    more than SEGMENT letters, go through ``_fold_segments``.  The other
-    letters take one step each, or one per fused group (``_fused_steps``) on
-    local blocks.
+    A stretch of more than SEGMENT letters is freely reduced first.  The
+    letters take one step each on whole-register blocks, or one per fused
+    group (``_fused_steps``) on local blocks.
     """
     if lo == hi:
         return p
@@ -464,16 +449,10 @@ def _fold(
     codes = [letter.sign * letter.index for letter in letters[lo:hi]]
     if len(codes) > SEGMENT:
         codes = free_reduce_codes(codes)
-    whole = all(len(block) == d for block, _ in rep.blocks)
-    folded = 0
-    if len(codes) > SEGMENT and whole:
-        folded = len(codes) // SEGMENT * SEGMENT
-        f = _fold_segments(rep, np.fromiter(codes, dtype=np.intp, count=folded))
-        p = f if p is None else f @ p.reshape(d, d)
     if p is None:
         p = np.eye(d, dtype=complex)
-    if whole:
-        steps = map(rep.steps.__getitem__, codes[folded:])
+    if all(len(block) == d for block, _ in rep.blocks):
+        steps = map(rep.steps.__getitem__, codes)
     else:
         steps = _fused_steps(rep, codes)
     for block_t, shape in steps:
@@ -506,16 +485,40 @@ def _product(rep: Representation, letters, runs, lo: int, hi: int) -> np.ndarray
     return _fold(rep, letters, at, hi, p)
 
 
+def _element(rep: Representation, letters, runs, lo: int, hi: int) -> tuple[int, int]:
+    """The ``Representation.group`` element of letters[lo:hi] and its exponent sum.
+
+    ``runs`` are the power runs of the span, with starts relative to ``lo``.
+    A run is its period's element repeated count % order times (Lagrange).
+    """
+    _, table, letter_elements = rep.group
+    pieces, total, at = [], 0, lo
+    for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
+        start += lo
+        codes = np.fromiter((l.sign * l.index for l in letters[at:start]), np.intp, start - at)
+        pieces.append(letter_elements[codes])
+        total += int(np.sign(codes).sum())
+        if count:
+            g, e = _element(rep, letters, inner, start, start + period)
+            pieces.append(np.full(count % len(table), g))
+            total += count * e
+        at = start + period * count
+    ids = np.concatenate(pieces)
+    while len(ids) > 1:  # an odd last element passes to the next round as it is
+        ids = np.concatenate((table[ids[:-1:2], ids[1::2]], ids[len(ids) & ~1 :]))
+    return (int(ids[0]) if len(ids) else 0), total
+
+
 def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     """Evaluate a braid word to the product of generator images in written order.
 
     The first letter is the leftmost factor, so the last letter acts first on
     column vectors: "s1 s2" evaluates to sigma_1 @ sigma_2.  Negative letters
     use the conjugate transpose of the generator image.  The empty word
-    evaluates to the identity.  The product is formed by the evaluation
-    plan of the module docstring; a word of at most SEGMENT letters on a
-    whole-register representation is multiplied out one letter after
-    another.
+    evaluates to the identity.  b2, ge and jones read the word in their
+    finite image group; elsewhere the evaluation plan of the module docstring
+    applies, and a word of at most SEGMENT letters on whole-register blocks
+    is multiplied out one letter after another.
     """
     if word.strands != rep.strands:
         raise ValueError(
@@ -523,6 +526,9 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
             f"has {rep.strands}"
         )
     d = rep.dimension
+    if rep.phase is not None:
+        g, e = _element(rep, word.letters, word.powers, 0, len(word.letters))
+        return np.exp(1j * rep.phase * e) * rep.group[0][g]
     p = _product(rep, word.letters, word.powers, 0, len(word.letters))
     if p is None:
         return np.eye(d, dtype=complex)

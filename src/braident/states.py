@@ -164,6 +164,10 @@ def measure_qubit(state: PureState, k: int, outcome: int) -> MeasurementOutcome:
     n = state.qubits
     if n < 2:
         raise ValueError("measurement removes a qubit, so the register needs at least 2")
+    try:
+        k = index(k)
+    except TypeError:
+        raise ValueError(f"qubit index must be an integer, got {k!r}") from None
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     if outcome not in (0, 1):

@@ -75,6 +75,22 @@ class TestEval:
         assert code == 0
         assert doc["closure"]["closes"] is True
 
+    @pytest.mark.parametrize(
+        "rep,theta,word,phase",
+        [
+            # (s1 s2^-1)^3 is -I on jones; (s1 s2)^3 is -e^{6i theta} I on ge
+            ("jones", 1.0, "(s1 s2^-1)^480000", 0.0),
+            ("ge", 0.3, "(s1 s2)^480000", 960000 * 0.3),
+            ("ge", 2.8, "(s1 s2)^480000", 960000 * 2.8),
+        ],
+    )
+    def test_longest_closing_words_close(self, capsys, rep, theta, word, phase):
+        argv = ["eval", "--rep", rep, "--word", word, "--theta", str(theta), "--format", "json"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["closure"]["closes"] is True
+        assert abs((doc["closure"]["phase"] - phase + np.pi) % (2 * np.pi) - np.pi) < 1e-9
+
     def test_single_generator_does_not_close(self, capsys):
         code, doc = run_json(
             capsys, ["eval", "--rep", "b2", "--word", "s1", "--format", "json"]
@@ -129,16 +145,16 @@ class TestEval:
             assert lines == [f"error: theta must be finite, got {float(theta)}"]
 
     def test_rational_theta_warns_on_one_line(self, capsys):
-        code = main(["eval", "--rep", "ge", "--word", "s1", "--theta", "0"])
+        code = main(["eval", "--rep", "b2", "--word", "s1", "--theta", "0"])
         captured = capsys.readouterr()
         assert code == 0
-        assert captured.out.startswith("word: s1  [ge, 8x8]")
+        assert captured.out.startswith("word: s1  [b2, 4x4]")
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("warning: theta = 0*pi is a rational multiple of pi;")
 
     def test_input_error_after_a_warning_prints_only_the_error(self, capsys):
-        code = main(["eval", "--rep", "ge", "--theta", "0", "--word", "x"])
+        code = main(["eval", "--rep", "b2", "--theta", "0", "--word", "x"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

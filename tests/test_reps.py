@@ -16,6 +16,7 @@ from braident.braids import (
     render_braid_word,
 )
 from braident import reps
+from braident.cli import main
 from braident.linalg import equal_up_to_phase, haar_unitary, is_unitary
 from braident.reps import (
     JONES_A,
@@ -31,6 +32,7 @@ from braident.reps import (
     verify_relations,
     yang_baxter_unitary,
 )
+from exactgroups import exact_group
 from wordcodes import codes_of, word_of
 
 I2 = np.eye(2, dtype=complex)
@@ -56,6 +58,21 @@ def random_word(rng, strands, max_len=12, length=None):
         length = int(rng.integers(0, max_len + 1))
     codes = [int(rng.integers(1, strands)) * int(rng.choice([1, -1])) for _ in range(length)]
     return word_of(strands, codes)
+
+
+def unitarity_drift(m):
+    return np.linalg.norm(m @ m.conj().T - np.eye(len(m)))
+
+
+def assert_exact_image(rep, word):
+    """evaluate on b2, ge or jones gives e^{i theta e} times the word's exact group
+    element, e the exponent sum, within 1e-14 and unitary within 1e-14."""
+    codes = codes_of(word)
+    group = exact_group(rep.name)
+    phase = np.exp(1j * rep.parameters.get("theta", 0.0) * int(np.sign(codes).sum()))
+    product = evaluate(rep, word)
+    assert np.max(np.abs(product - phase * group.matrix(group.element(codes)))) <= 1e-14
+    assert unitarity_drift(product) <= 1e-14
 
 
 class TestB2Rep:
@@ -113,6 +130,15 @@ class TestGeRep:
         assert np.allclose(rep.generator_images[1], np.kron(I2, u))
         assert is_unitary(rep.generator_images[0], 1e-12)
         assert is_unitary(rep.generator_images[1], 1e-12)
+
+    def test_no_angle_warns_since_none_is_faithful(self):
+        # the unphased image is a group of order 48 at every angle, so at the
+        # default angle (s1 s2^-1)^6 closes, though it has infinite order in B3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in (0.0, np.pi / 4, 1.0):
+                ge_rep(theta)
+        assert closure_check(ge_rep(1.0), parse_braid_word("(s1 s2^-1)^6", 3)).closes
 
     def test_nus_word_closes_with_phase(self):
         # (sigma_1 sigma_2)^3 = -e^{6 i theta} I
@@ -243,6 +269,20 @@ class TestRelationReport:
         assert verify_relations(rep, 1e-12).passed
         assert len(placed) == 1
 
+    def test_building_and_relations_leave_the_image_group_unbuilt(self, capsys, monkeypatch):
+        for rep in (b2_rep(1.0), ge_rep(1.0), jones_rep()):
+            verify_relations(rep)
+            rep.generator_images
+            assert "group" not in rep.__dict__
+        rep = jones_rep()
+        evaluate(rep, parse_braid_word("s1", 3))
+        assert "group" in rep.__dict__
+        built = []
+        monkeypatch.setattr(reps.Representation, "group", property(built.append))
+        for name in ("b2", "ge", "jones"):
+            assert main(["relations", "--rep", name]) == 0
+        assert built == []
+
 
 def dense_images(u, strands):
     """sigma_i = I(x)U(x)I on the whole register, built here independently of reps."""
@@ -294,13 +334,17 @@ class TestBlockEvaluation:
             dense = np.linalg.norm(a @ b @ a - b @ a @ b)
             assert abs(r - dense) <= 1e-12 * dense
 
-    def test_named_reps_evaluate_bitwise_as_dense_product(self):
+    def test_named_reps_evaluate_as_exact_group_elements(self):
         rng = np.random.default_rng(400)
         for rep in (b2_rep(1.0), ge_rep(0.37), jones_rep()):
+            n = rep.strands
             for _ in range(40):
-                word = random_word(rng, rep.strands, max_len=40)
-                expected = written_order_product(rep.generator_images, word, rep.dimension)
-                assert evaluate(rep, word).tobytes() == expected.tobytes()
+                assert_exact_image(rep, random_word(rng, n, max_len=40))
+            signs = rng.choice([1, -1], size=10**5)
+            for codes in (rng.integers(1, n, size=10**5), signs * rng.integers(1, n, size=10**5)):
+                assert_exact_image(rep, word_of(n, codes.tolist()))
+            for text in (f"(s1 s{n - 1}^-1)^50000", f"((s{n - 1} s1^-1)^300 s1)^-7", "s1^99999"):
+                assert_exact_image(rep, parse_braid_word(text, n))
 
     def test_disjoint_far_pairs_are_not_placed(self, monkeypatch):
         placed = []
@@ -335,14 +379,16 @@ class TestBlockEvaluation:
 
 
 class TestSegmentFold:
-    """On whole-register reps a word of at most SEGMENT letters is the left fold bit for
-    bit; a longer one is freely reduced and its whole segments folded from a table."""
+    """On b2, ge and jones every word is its exact group element times a phase.  On a
+    whole-register float rep a word of at most SEGMENT letters is the left fold bit
+    for bit; a longer one is freely reduced first."""
 
     REPS = None
 
     @classmethod
     def setup_class(cls):
-        cls.REPS = [b2_rep(1.0), ge_rep(0.37), jones_rep()]
+        cls.WHOLE = generic_rep(haar_unitary(4, np.random.default_rng(505)), 2)
+        cls.REPS = [b2_rep(1.0), ge_rep(0.37), jones_rep(), cls.WHOLE]
 
     @pytest.mark.parametrize(
         "length",
@@ -354,7 +400,9 @@ class TestSegmentFold:
             word = random_word(rng, rep.strands, length=length)
             product = evaluate(rep, word)
             expected = written_order_product(rep.generator_images, word, rep.dimension)
-            if length <= SEGMENT:
+            if rep is not self.WHOLE:
+                assert_exact_image(rep, word)
+            if rep is self.WHOLE and length <= SEGMENT:
                 assert product.tobytes() == expected.tobytes()
             else:
                 assert np.max(np.abs(product - expected)) < 1e-12
@@ -378,10 +426,6 @@ class TestSegmentFold:
         assert np.max(np.abs(evaluate(generic_rep(u, 5), word) - expected)) < 1e-12
 
 
-def unitarity_drift(m):
-    return np.linalg.norm(m @ m.conj().T - np.eye(len(m)))
-
-
 def uncancelled_codes(rng, strands, length):
     """Random signed codes of which no two neighbours cancel, so free reduction keeps all."""
     codes = []
@@ -393,14 +437,15 @@ def uncancelled_codes(rng, strands, length):
 
 
 class TestReducedFold:
-    """Stretches of more than SEGMENT letters are freely reduced, and only what is left
-    decides the fold: more than SEGMENT letters take the table, the rest the letter loop."""
+    """On float reps a stretch of more than SEGMENT letters is freely reduced, and only
+    what is left is multiplied out."""
 
     REPS = None
 
     @classmethod
     def setup_class(cls):
-        cls.REPS = [b2_rep(1.0), ge_rep(0.37), jones_rep()]
+        cls.WHOLE = generic_rep(haar_unitary(4, np.random.default_rng(535)), 2)
+        cls.REPS = [b2_rep(1.0), ge_rep(0.37), jones_rep(), cls.WHOLE]
 
     def test_long_literal_words_match_the_dense_product(self, monkeypatch):
         rng = np.random.default_rng(530)
@@ -414,104 +459,59 @@ class TestReducedFold:
                 unreduced = evaluate(rep, word)
             assert unitarity_drift(product) <= unitarity_drift(unreduced)
 
-    def test_fold_takes_the_reduced_letters(self, monkeypatch):
-        folded = []
-        fold = reps._fold_segments
-        monkeypatch.setattr(
-            reps, "_fold_segments", lambda rep, codes: folded.append(len(codes)) or fold(rep, codes)
-        )
-        rng = np.random.default_rng(540)
-        rep = jones_rep()
-        word = random_word(rng, 3, length=8 * SEGMENT)
-        reduced = free_reduce(word)
-        assert len(reduced) >= 3 * SEGMENT
-        product = evaluate(rep, word)
-        assert folded == [len(reduced) // SEGMENT * SEGMENT]
-        assert product.tobytes() == evaluate(rep, reduced).tobytes()
-
-    def test_a_word_that_reduces_to_one_segment_takes_the_letter_loop(self, monkeypatch):
-        folded = []
-        monkeypatch.setattr(reps, "_fold_segments", lambda rep, codes: folded.append(codes))
+    def test_a_word_that_reduces_to_one_segment_takes_the_letter_loop(self):
         rng = np.random.default_rng(550)
-        for rep in self.REPS:
-            w = random_word(rng, rep.strands, length=2 * SEGMENT)
-            tail = word_of(rep.strands, uncancelled_codes(rng, rep.strands, SEGMENT))
-            word = concat(concat(w, inverse(w)), tail)
-            assert free_reduce(word) == free_reduce(tail) == tail
-            product = evaluate(rep, word)
-            expected = written_order_product(rep.generator_images, free_reduce(tail), rep.dimension)
-            assert product.tobytes() == expected.tobytes()
-        assert folded == []
+        rep = self.WHOLE
+        w = random_word(rng, 2, length=2 * SEGMENT)
+        tail = word_of(2, uncancelled_codes(rng, 2, SEGMENT))
+        word = concat(concat(w, inverse(w)), tail)
+        assert free_reduce(word) == free_reduce(tail) == tail
+        expected = written_order_product(rep.generator_images, tail, rep.dimension)
+        assert evaluate(rep, word).tobytes() == expected.tobytes()
 
 
 class TestTableFold:
-    """Words that cannot cancel reach ``_fold_segments`` on every whole-register rep."""
+    """Words that cannot cancel: b2, ge and jones reduce them through the Cayley table
+    of their image group, and a whole-register float rep multiplies every letter."""
+
+    REPS = None
+
+    @classmethod
+    def setup_class(cls):
+        u = haar_unitary(4, np.random.default_rng(565))
+        cls.REPS = [b2_rep(1.0), ge_rep(0.37), jones_rep(), generic_rep(u, 2)]
 
     @staticmethod
-    def spy(monkeypatch):
-        folded = []
-        fold = reps._fold_segments
-        monkeypatch.setattr(
-            reps, "_fold_segments", lambda rep, codes: folded.append(len(codes)) or fold(rep, codes)
-        )
-        return folded
+    def check(rep, word):
+        product = evaluate(rep, word)
+        expected = written_order_product(rep.generator_images, word, rep.dimension)
+        assert np.max(np.abs(product - expected)) < 1e-12
+        assert unitarity_drift(product) <= 1e-10
+        if rep.name != "generic":
+            assert_exact_image(rep, word)
 
     @pytest.mark.parametrize("length", [3 * SEGMENT, 3 * SEGMENT + 1, 5 * SEGMENT + 3])
-    def test_positive_words_match_the_dense_product(self, monkeypatch, length):
-        folded = self.spy(monkeypatch)
+    def test_positive_words_match_the_dense_product(self, length):
         rng = np.random.default_rng(560 + length)
-        for rep in (b2_rep(1.0), ge_rep(0.37), jones_rep()):
-            word = word_of(rep.strands, rng.integers(1, rep.strands, size=length).tolist())
-            product = evaluate(rep, word)
-            expected = written_order_product(rep.generator_images, word, rep.dimension)
-            assert np.max(np.abs(product - expected)) < 1e-12
-            assert unitarity_drift(product) <= 1e-10
-        assert folded == [length // SEGMENT * SEGMENT] * 3
+        for rep in self.REPS:
+            self.check(rep, word_of(rep.strands, rng.integers(1, rep.strands, size=length).tolist()))
 
     @pytest.mark.parametrize("length", [SEGMENT + 1, 3 * SEGMENT - 1])
-    def test_stretches_past_one_segment_reach_the_table(self, monkeypatch, length):
-        folded = self.spy(monkeypatch)
+    def test_stretches_past_one_segment_reach_the_table(self, length):
         rng = np.random.default_rng(590 + length)
-        for rep in (b2_rep(1.0), ge_rep(0.37), jones_rep()):
-            word = word_of(rep.strands, uncancelled_codes(rng, rep.strands, length))
-            product = evaluate(rep, word)
-            expected = written_order_product(rep.generator_images, word, rep.dimension)
-            assert np.max(np.abs(product - expected)) < 1e-12
-            assert unitarity_drift(product) <= 1e-10
-        assert folded == [length // SEGMENT * SEGMENT] * 3
+        for rep in self.REPS:
+            self.check(rep, word_of(rep.strands, uncancelled_codes(rng, rep.strands, length)))
 
-    def test_a_stretch_between_runs_reaches_the_table(self, monkeypatch):
-        folded = self.spy(monkeypatch)
+    def test_a_stretch_between_runs_reaches_the_table(self):
         rng = np.random.default_rng(595)
-        for rep in (b2_rep(1.0), ge_rep(0.37), jones_rep()):
+        for rep in self.REPS:
             n = rep.strands
             middle = render_braid_word(word_of(n, uncancelled_codes(rng, n, 300)))
             word = parse_braid_word(f"(s1 s{n - 1})^200 {middle} (s{n - 1} s1)^-150", n)
             assert [(start, period * count) for start, period, count, _ in word.powers] == [
                 (0, 400), (700, 300)
             ]
-            product = evaluate(rep, word)
-            expected = written_order_product(rep.generator_images, word, rep.dimension)
-            assert np.max(np.abs(product - expected)) < 1e-12
-            assert unitarity_drift(product) <= 1e-10
-        assert folded == [SEGMENT] * 3
-
-    def test_grams_divide_the_segment_on_more_letters(self, monkeypatch):
-        # six signed letters: 6^3 <= SEGMENT, but 3 does not divide SEGMENT, so grams are pairs
-        folded = self.spy(monkeypatch)
-        rng = np.random.default_rng(570)
-        blocks = [(haar_unitary(16, rng), 1) for _ in range(3)]
-        rep = reps._assemble("whole", 4, blocks, {}, require_braiding=False)
-        codes = []
-        while len(codes) < 4 * SEGMENT + 5:  # freely reduced, so no letter cancels
-            c = int(rng.integers(1, 4)) * int(rng.choice([1, -1]))
-            if not codes or c != -codes[-1]:
-                codes.append(c)
-        word = word_of(4, codes)
-        product = evaluate(rep, word)
-        expected = written_order_product([b for b, _ in blocks], word, 16)
-        assert folded == [4 * SEGMENT]
-        assert np.max(np.abs(product - expected)) < 1e-12
+            self.check(rep, word)
 
     def test_long_word_keeps_no_image_per_letter(self):
         rep = jones_rep()
@@ -523,9 +523,8 @@ class TestTableFold:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Measured 3.5 MB: the letter codes as a list and an array, and one
-        # chunk of gathered 8x8 images.  Gathering every image at once would
-        # add about 25 MB.
+        # Measured 2.9 MB: the letter codes and their group elements as arrays.
+        # Gathering every letter's 8x8 image at once would add about 100 MB.
         assert peak < 8 * 10**6
 
 
@@ -545,7 +544,9 @@ POWERED_WORDS = [
 
 
 class TestPowerRuns:
-    """Power runs of more than SEGMENT letters are raised to their count by squaring."""
+    """A power run is its period's group element repeated count mod order times on b2,
+    ge and jones; on float reps a run of more than SEGMENT letters is raised to its
+    count by squaring."""
 
     REPS = None
 
@@ -585,7 +586,7 @@ class TestPowerRuns:
             return power(q, count)
 
         monkeypatch.setattr(np.linalg, "matrix_power", spy)
-        rep = jones_rep()
+        rep = generic_rep(haar_unitary(4, np.random.default_rng(610)), 3)
         evaluate(rep, parse_braid_word("s1 ((s2 s1^-1)^200 s2)^-3 (s1 s2)^128", 3))
         assert counts == [200, 3]  # the inner run first, while evaluating the outer period
         counts.clear()

@@ -180,6 +180,9 @@ class TestMeasurement:
             measure_qubit(basis_state("0"), 1, 0)
         with pytest.raises(ValueError, match="outcome"):
             measure_qubit(named_state("ghz"), 1, 2)
+        for k in (1.0, 2.5, "1"):
+            with pytest.raises(ValueError, match="integer"):
+                measure_qubit(named_state("ghz"), k, 0)
 
     def test_probability_completeness(self):
         rng = np.random.default_rng(23)
