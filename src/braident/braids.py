@@ -18,26 +18,41 @@ period, so evaluation can raise a long run's period to its power instead of
 multiplying out its letters.  Runs are a hint about the letters, not part of
 the word: equality, hashing and rendering ignore them.
 
-Text is read by one token regex.  When every token is a generator in range,
-with an optional ``^-1`` (flat text), the letters come from a table of the
-distinct tokens; any other text goes through the grammar with the tokens'
-positions, so errors carry their message and position.
+Every word also holds its letters as one read-only array of signed generator
+indices, ``BraidWord.codes`` (+i for s_i, -i for s_i^-1).  Evaluation and the
+closure bookkeeping read that array, never the letters one by one.
+
+Flat text is generators with a one-digit index and an optional ``^-1``,
+apart from whitespace.  It is read straight into codes: a text shorter than
+SCAN_CHARS is split at whitespace and its tokens looked up in a table, and a
+longer one is scanned as bytes by numpy, with no string per letter.  The
+letters are then one table lookup per code.  Any other text goes through one
+token regex and the grammar, so errors carry their message and position.
+Both readings check every index as they read it, so parsed words are built
+without ``BraidWord``'s per-letter check.  A grammar-built word gets its codes
+from its power runs, each run's first period tiled.
 
 Words map onto the symmetric group by sending every letter, regardless of
 sign, to the adjacent transposition swapping its index with the next point.
 The image is a plain tuple: entry x-1 is the end position of the strand that
 starts at position x, with letters acting in word order.  Cycle counting of
-that image gives the number of components of the word's closure.  The image,
-the exponent sum and the signed letter count per generator (the image in the
-free group's abelianization) are taken from the power runs, a run costing
-its first period plus a permutation power, not one step per letter.
+that image gives the number of components of the word's closure.  The image
+composes the letters' transpositions pairwise, and the signed letter count
+per generator (the image in the free group's abelianization) counts the
+codes.  Both are taken over the power runs: a run costs its first period plus
+a permutation power.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 # Parser limits: the group depth stays well below Python's recursion limit, the
 # letter cap stops a huge power from allocating before it is rejected, and the
@@ -46,6 +61,19 @@ from dataclasses import dataclass, field
 MAX_NESTING_DEPTH = 200
 MAX_WORD_LETTERS = 10**6
 MAX_NUMBER_DIGITS = 100
+
+# Flat text of at least this many characters is scanned as bytes by numpy; a
+# shorter one is split at whitespace.  The scan costs about 16 us more on short
+# texts, and the two met at 700-770 characters (about 160 letters) in
+# alternating timings.
+SCAN_CHARS = 750
+
+# word_images reduces a stretch of letters on at most TABLE_POINTS points in the
+# Cayley table of the symmetric group (120 elements at 5 points); on more it
+# composes their transpositions pairwise, PERMUTATION_CHUNK letters times
+# points at a time.
+TABLE_POINTS = 5
+PERMUTATION_CHUNK = 2**15
 
 
 class WordSyntaxError(ValueError):
@@ -58,16 +86,28 @@ class WordSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorLetter:
-    """One letter s_index^(sign) with sign +1 or -1."""
+    """One letter s_index^(sign) with sign +1 or -1.
+
+    Both fields are read with ``operator.index``, so a float or a string
+    raises ValueError.
+    """
 
     index: int
     sign: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"generator index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"exponent sign must be +1 or -1, got {self.sign}")
+        try:
+            index, sign = operator.index(self.index), operator.index(self.sign)
+        except TypeError:
+            raise ValueError(
+                f"generator index and sign must be integers, got {self.index!r} and {self.sign!r}"
+            ) from None
+        if index < 1:
+            raise ValueError(f"generator index must be >= 1, got {index}")
+        if sign not in (1, -1):
+            raise ValueError(f"exponent sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "sign", sign)
 
     def inverse(self) -> "GeneratorLetter":
         return shared_letter(self.index, -self.sign)
@@ -77,8 +117,8 @@ class GeneratorLetter:
 class BraidWord:
     """A flat word over the braid group on ``strands`` strands.
 
-    The empty letter sequence is the group identity.  Every letter index must
-    be at most strands - 1.
+    The empty letter sequence is the group identity.  Every letter must be a
+    GeneratorLetter with index at most strands - 1.
 
     ``powers`` holds the runs of a parsed word, one per ``^k`` with |k| >= 2
     of a nonempty atom, as a tree.  A run ``(start, period, count, inner)``
@@ -101,11 +141,26 @@ class BraidWord:
             raise ValueError(f"a braid group needs at least 2 strands, got {self.strands}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for letter in self.letters:
+            if not isinstance(letter, GeneratorLetter):
+                raise ValueError(f"a braid word holds GeneratorLetter items, got {letter!r}")
             if letter.index > self.strands - 1:
                 raise ValueError(
                     f"generator index {letter.index} out of range for {self.strands} strands "
                     f"(max {self.strands - 1})"
                 )
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The letters as a read-only array of signed indices: +i for s_i, -i for s_i^-1.
+
+        A word parsed from flat text comes with it; any other word reads its
+        letters once, on first use, each power run as its first period tiled.
+        """
+        return _frozen(_run_codes(self.letters, self.powers, 0, len(self.letters)))
+
+    def __getstate__(self):
+        # copies and pickles read the codes again: a copied array would be writable
+        return {k: v for k, v in self.__dict__.items() if k != "codes"}
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -121,10 +176,97 @@ def identity_word(strands: int) -> BraidWord:
     return BraidWord(strands, ())
 
 
+def _frozen(codes: np.ndarray) -> np.ndarray:
+    codes.setflags(write=False)
+    return codes
+
+
+def _run_codes(letters, runs, lo: int, hi: int) -> np.ndarray:
+    """The codes of letters[lo:hi], whose power runs are ``runs``: each run is its
+    first period's codes tiled, and only the letters between runs are read."""
+    pieces, at = [], lo
+    for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
+        start += lo
+        pieces.append(np.fromiter((l.sign * l.index for l in letters[at:start]), np.intp))
+        if count:
+            pieces.append(np.tile(_run_codes(letters, inner, start, start + period), count))
+        at = start + period * count
+    return np.concatenate(pieces)
+
+
+def _trusted_word(strands: int, letters: tuple, codes=None, powers: tuple = ()) -> BraidWord:
+    """A word whose letters are known to be in range, made without ``__post_init__``'s
+    per-letter check; ``codes``, when given, must be the letters' read-only codes."""
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "strands", strands)
+    object.__setattr__(word, "letters", letters)
+    object.__setattr__(word, "powers", powers)
+    if codes is not None:
+        word.__dict__["codes"] = codes
+    return word
+
+
+@functools.lru_cache(maxsize=10)
+def _letter_table(top: int) -> np.ndarray:
+    """The shared letters as an object array: s_c at index c and s_c^-1 at -c, 1 <= c <= top."""
+    table = np.empty(2 * top + 1, dtype=object)
+    for c in range(1, top + 1):
+        table[c], table[-c] = shared_letter(c, 1), shared_letter(c, -1)
+    return table
+
+
+# The code of each flat token ("s1" is 1, "s1^-1" is -1) with index at most
+# top, for top = 0..9: the short reading of flat text.
+_FLAT_TOKENS = [
+    {**{f"s{i}": i for i in range(1, top + 1)}, **{f"s{i}^-1": -i for i in range(1, top + 1)}}
+    for top in range(10)
+]
+
+
+def _flat_codes(text: str, strands: int) -> np.ndarray | None:
+    """The codes of flat text, or None for any other text.
+
+    Flat text holds generators "s" with one digit from 1 to strands - 1 and
+    an optional "^-1" right after the digit, and whitespace.  A text
+    shorter than SCAN_CHARS is split at whitespace (what str.isspace
+    accepts, as the token regex does), and every token must be one of
+    ``_FLAT_TOKENS``.  A longer one must be ASCII with spaces only; numpy
+    reads the digit after each "s" and looks for a "^" after it.  Counts of
+    the bytes then prove the rest: every "^" starts a "^-1" right after a
+    digit, and the length leaves no other digit or "-", so no index has two
+    digits and no "^-1" has a digit after it.
+    """
+    top = min(strands - 1, 9)
+    if len(text) < SCAN_CHARS:
+        try:
+            return np.array(list(map(_FLAT_TOKENS[top].__getitem__, text.split())), np.intp)
+        except KeyError:
+            return None
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if raw.translate(None, b" s0123456789^-"):  # a byte flat text never holds
+        return None
+    b = np.frombuffer(raw + b"  ", np.uint8)  # padded so each "s" has two bytes after it
+    at = np.flatnonzero(b == ord("s"))
+    index = b[at + 1] - np.uint8(ord("0"))  # wraps below "0", so one bound checks the digit
+    inverse = b[at + 2] == ord("^")
+    hats = raw.count(b"^")
+    if not (
+        len(raw) == raw.count(b" ") + 2 * len(at) + 3 * hats
+        and raw.count(b"^-1") == hats == np.count_nonzero(inverse)
+        and (index - np.uint8(1) < top).all()
+    ):
+        return None
+    codes = index.astype(np.intp)
+    np.negative(codes, out=codes, where=inverse)
+    return codes
+
+
 # One match per token; its group is the token without the whitespace before
 # it.  A generator token holds its own "^-1" when it has one: the regex joins a
-# "^-1" that no digit follows to the generator before it, so flat text
-# (generators with an optional ^-1) is generator tokens only.  Digits are ASCII
+# "^-1" that no digit follows to the generator before it.  Digits are ASCII
 # [0-9] only: the regex \d and str.isdecimal also take other scripts' digits
 # (Arabic-Indic, for one), which are syntax errors here.  Whitespace is what
 # str.isspace accepts, as \s does.
@@ -159,17 +301,19 @@ def _decode(token: str) -> tuple[int, int | str]:
     return kind, (-value if negative else value)
 
 
-def _positioned(text: str, decoded: dict) -> list[tuple[int, int, int]]:
-    """(kind, value, position) of every token of the text, from one regex scan
-    and the ``decoded`` kinds and values of its tokens.
+def _positioned(text: str) -> list[tuple[int, int, int]]:
+    """(kind, value, position) of every token of the text, from one regex scan,
+    each distinct token decoded once.
 
     Raises the first malformed token's error, so every lexical error comes
     before any grammar error.  A generator that holds its own ``^-1`` becomes
     the generator and the power, at the positions of its "s" and its "^".
     """
-    tokens = []
+    tokens, decoded = [], {}
     for m in _TOKEN.finditer(text):
         token, at = m[1], m.start(1)
+        if token not in decoded:
+            decoded[token] = _decode(token)
         kind, value = decoded[token]
         if kind == _BAD:
             raise WordSyntaxError(value, at)
@@ -268,33 +412,23 @@ def _parse_sequence(
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse braid word text into a flat BraidWord over the given strand count.
 
-    The text is read by one regex scan, and each distinct token is decoded
-    once.  When every token is a generator in range (flat text) and there are
-    at most MAX_WORD_LETTERS of them, the letters come from a table of those
-    tokens; any other text goes through the grammar.  The word's ``powers``
-    record the runs its ``^k`` tokens wrote.  Raises WordSyntaxError with the
-    character position for malformed text, for generator indices that exceed
-    strands - 1, for groups nested deeper than MAX_NESTING_DEPTH and for
-    words that expand past MAX_WORD_LETTERS letters.  The empty string parses
-    to the identity word.
+    Flat text of at most MAX_WORD_LETTERS letters is read straight into the
+    word's codes (``_flat_codes``); any other text goes through the token
+    regex and the grammar, and the word's ``powers`` record the runs its
+    ``^k`` tokens wrote.  Raises WordSyntaxError with the character position
+    for malformed text, for generator indices that exceed strands - 1, for
+    groups nested deeper than MAX_NESTING_DEPTH and for words that expand
+    past MAX_WORD_LETTERS letters.  The empty string parses to the identity
+    word.
     """
     if strands < 2:
         raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
-    tokens = _TOKEN.findall(text)
-    decoded, table = {}, {}
-    for token in set(tokens):
-        kind, value = decoded[token] = _decode(token)
-        if kind in (_GEN, _INVERSE) and 1 <= value <= strands - 1:
-            table[token] = shared_letter(value, -1 if kind == _INVERSE else 1)
-    if len(table) == len(decoded) and len(tokens) <= MAX_WORD_LETTERS:
-        # tuple() straight from the map grows the tuple by reallocation, which over
-        # many short words fragments the heap (peak RSS rose about 3% in a loop)
-        return BraidWord(strands, tuple(list(map(table.__getitem__, tokens))))
-    letters, runs, _ = _parse_sequence(_positioned(text, decoded), 0, 0, strands)
-    word = BraidWord(strands, tuple(letters))
-    if runs:
-        object.__setattr__(word, "powers", tuple(runs))
-    return word
+    codes = _flat_codes(text, strands)
+    if codes is not None and len(codes) <= MAX_WORD_LETTERS:
+        letters = tuple(_letter_table(min(strands - 1, 9))[codes].tolist())
+        return _trusted_word(strands, letters, _frozen(codes))
+    letters, runs, _ = _parse_sequence(_positioned(text), 0, 0, strands)
+    return _trusted_word(strands, tuple(letters), powers=tuple(runs))
 
 
 def render_braid_word(word: BraidWord) -> str:
@@ -335,61 +469,112 @@ def free_reduce(word: BraidWord) -> BraidWord:
     The braid relation is never applied syntactically; words that are equal in
     the braid group but not freely equal stay distinct.
     """
-    codes = free_reduce_codes(letter.sign * letter.index for letter in word.letters)
+    codes = free_reduce_codes(word.codes.tolist())
     return BraidWord(word.strands, tuple(shared_letter(abs(c), 1 if c > 0 else -1) for c in codes))
 
 
-def _permutation_power(moved: list[int], count: int) -> list[int]:
+def _permutation_power(moved: np.ndarray, count: int) -> np.ndarray:
     """``moved`` composed with itself ``count`` times, by repeated squaring."""
-    out = list(range(len(moved)))
+    out = np.arange(len(moved))
     while count:
         if count & 1:
-            out = [moved[q] for q in out]  # powers of one permutation commute
-        moved = [moved[q] for q in moved]
+            out = moved[out]  # powers of one permutation commute
+        moved = moved[moved]
         count >>= 1
     return out
 
 
-def _walk(letters, runs, lo: int, hi: int, strands: int) -> tuple[list[int], list[int]]:
-    """Where the strands of letters[lo:hi] end up, and its signed letter sums.
+def table_product(table: np.ndarray, ids: np.ndarray) -> int:
+    """The product, in order, of group elements given by their ids in a Cayley
+    table (``table[g, h]`` is g h), reduced pairwise; the identity, id 0, when
+    there are none."""
+    while len(ids) > 1:  # an odd last element passes to the next round as it is
+        ids = np.concatenate((table[ids[:-1:2], ids[1::2]], ids[len(ids) & ~1 :]))
+    return int(ids[0]) if len(ids) else 0
+
+
+def _swaps(codes: np.ndarray, points: int) -> np.ndarray:
+    """One ``moved`` row per nonzero code c: |c| - 1 and |c| swapped on ``points`` points."""
+    rows = np.tile(np.arange(points), (len(codes), 1))
+    r, i = np.arange(len(codes)), np.abs(codes)
+    rows[r, i - 1], rows[r, i] = i, i - 1
+    return rows
+
+
+@functools.lru_cache(maxsize=TABLE_POINTS)
+def _symmetric_group(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_points as ``moved`` arrays: its elements (identity first), its Cayley table
+    (g h is g[h], g's letters first) and at index i the element that swaps
+    points i-1 and i."""
+    elements = np.array(list(itertools.permutations(range(points))))
+    keys = points ** np.arange(points)  # a row's key is its entries in base ``points``
+    ids = np.zeros(points**points, dtype=np.intp)
+    ids[elements @ keys] = np.arange(len(elements))
+    table = ids[elements[:, elements] @ keys].astype(np.min_scalar_type(len(elements)))
+    swaps = np.concatenate(([0], ids[_swaps(np.arange(1, points), points) @ keys]))
+    return _frozen(elements), _frozen(table), _frozen(swaps)
+
+
+def _stretch_moved(codes: np.ndarray) -> np.ndarray:
+    """``moved`` of a stretch of plain letters, on the points 0..max|code| it touches.
+
+    On at most TABLE_POINTS points the letters are reduced in the Cayley
+    table of the symmetric group.  On more, their transpositions are
+    composed pairwise, in chunks of at most PERMUTATION_CHUNK letters times
+    points, so no array grows with the word.
+    """
+    points = max(int(codes.max()), -int(codes.min())) + 1
+    if points <= TABLE_POINTS:
+        elements, table, swaps = _symmetric_group(points)
+        return elements[table_product(table, swaps[np.abs(codes)])]
+    moved = np.arange(points)
+    step = max(1, PERMUTATION_CHUNK // points)
+    for lo in range(0, len(codes), step):
+        perms = _swaps(codes[lo : lo + step], points)
+        while len(perms) > 1:
+            if len(perms) & 1:  # fold the odd last letter into the one before it
+                perms[-2] = perms[-2][perms[-1]]
+                perms = perms[:-1]
+            perms = np.take_along_axis(perms[::2], perms[1::2], axis=1)
+        moved = moved[perms[0]]
+    return moved
+
+
+def _walk(codes: np.ndarray, runs, lo: int, hi: int, strands: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the strands of codes[lo:hi] end up, and its signed letter sums.
 
     ``runs`` are the power runs of the span, with starts relative to ``lo``.
     Returns ``(moved, sums)``: ``moved[p]`` is the position, before the
     stretch, of the strand at position p after it, and ``sums[i]`` the signed
     count of s_i.  A run costs its first period's walk and a permutation
-    power; the letters between runs take one step each.
+    power; the letters between runs are composed and counted by numpy.
     """
-    moved = list(range(strands))
-    sums = [0] * strands
+    moved = np.arange(strands)
+    sums = np.zeros(strands, dtype=np.intp)
     at = lo
-    for start, period, count, inner in runs:
+    for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
         start += lo
-        _step(letters[at:start], moved, sums)
-        run_moved, run_sums = _walk(letters, inner, start, start + period, strands)
-        moved = [moved[q] for q in _permutation_power(run_moved, count)]
-        for i, s in enumerate(run_sums):
-            sums[i] += count * s
+        stretch = codes[at:start]
+        if len(stretch):
+            stretch_moved = _stretch_moved(stretch)
+            moved[: len(stretch_moved)] = moved[stretch_moved]
+            counts = np.bincount(stretch + strands, minlength=2 * strands)
+            sums += counts[strands:] - counts[strands:0:-1]
+        if count:
+            run_moved, run_sums = _walk(codes, inner, start, start + period, strands)
+            moved = moved[_permutation_power(run_moved, count)]
+            sums += count * run_sums
         at = start + period * count
-    _step(letters[at:hi], moved, sums)
     return moved, sums
-
-
-def _step(letters, moved: list[int], sums: list[int]) -> None:
-    """Carry ``moved`` and ``sums`` over plain letters, one swap per letter."""
-    for letter in letters:
-        i = letter.index
-        moved[i - 1], moved[i] = moved[i], moved[i - 1]
-        sums[i] += letter.sign
 
 
 def word_images(word: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The permutation image and the signed letter count of each generator
-    s_1 .. s_{n-1}, from one walk over the word's letters and power runs."""
-    moved, sums = _walk(word.letters, word.powers, 0, len(word.letters), word.strands)
-    image = [0] * word.strands
-    for position, start in enumerate(moved, start=1):
-        image[start] = position
-    return tuple(image), tuple(sums[1:])
+    s_1 .. s_{n-1}, from one walk over the word's codes and power runs."""
+    moved, sums = _walk(word.codes, word.powers, 0, len(word), word.strands)
+    image = np.empty(word.strands, dtype=np.intp)
+    image[moved] = np.arange(1, word.strands + 1)
+    return tuple(image.tolist()), tuple(sums[1:].tolist())
 
 
 def exponent_sum(word: BraidWord) -> int:

@@ -33,8 +33,14 @@ generators of b2, ge and jones make finite groups of order 2, 48 and 192
 and Lomonaco, quant-ph/0401090, on these Bell-basis changes).  ``evaluate``
 reads a word on them as elements of ``Representation.group``, a power run as
 its period's element repeated count mod order times, and reduces the
-elements pairwise through the Cayley table in written order.  The image is
-e^{i theta e} M[g], e the exponent sum: one rounded element at any length.
+elements pairwise through the Cayley table in written order
+(``braids.table_product``).  The image is e^{i theta e} M[g], e the exponent
+sum: one rounded element at any length.
+
+Every path reads the word's signed codes (``BraidWord.codes``, +i for s_i
+and -i for its inverse) by slices of one array, never its letters one by
+one: the group path takes each plain stretch's elements by one gather, and
+the float paths below take a stretch's codes as a list.
 
 Conventions.  Strand i acts on qubit i, the i-th tensor factor from the left
 (most significant index bit).  ``evaluate`` multiplies generator images in
@@ -79,7 +85,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .braids import BraidWord, free_reduce_codes
+from .braids import BraidWord, free_reduce_codes, table_product
 from .linalg import DEFAULT_TOL, equal_up_to_phase
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so b2 is faithful at the default angle
@@ -435,9 +441,9 @@ def _fused_steps(rep: Representation, codes: list[int]):
 
 
 def _fold(
-    rep: Representation, letters, lo: int, hi: int, p: np.ndarray | None
+    rep: Representation, codes: np.ndarray, lo: int, hi: int, p: np.ndarray | None
 ) -> np.ndarray | None:
-    """Continue the transposed product ``p`` (None: the identity) over letters[lo:hi].
+    """Continue the transposed product ``p`` (None: the identity) over codes[lo:hi].
 
     A stretch of more than SEGMENT letters is freely reduced first.  The
     letters take one step each on whole-register blocks, or one per fused
@@ -446,7 +452,7 @@ def _fold(
     if lo == hi:
         return p
     d = rep.dimension
-    codes = [letter.sign * letter.index for letter in letters[lo:hi]]
+    codes = codes[lo:hi].tolist()
     if len(codes) > SEGMENT:
         codes = free_reduce_codes(codes)
     if p is None:
@@ -462,8 +468,8 @@ def _fold(
     return p
 
 
-def _product(rep: Representation, letters, runs, lo: int, hi: int) -> np.ndarray | None:
-    """The transposed product of letters[lo:hi], None for an empty stretch.
+def _product(rep: Representation, codes: np.ndarray, runs, lo: int, hi: int) -> np.ndarray | None:
+    """The transposed product of codes[lo:hi], None for an empty stretch.
 
     ``runs`` are the power runs of the span, with starts relative to ``lo``.
     A run of more than SEGMENT letters is one period's product, itself
@@ -477,16 +483,16 @@ def _product(rep: Representation, letters, runs, lo: int, hi: int) -> np.ndarray
         if period * count <= SEGMENT:
             continue
         start += lo
-        p = _fold(rep, letters, at, start, p)
-        q = _product(rep, letters, inner, start, start + period)
+        p = _fold(rep, codes, at, start, p)
+        q = _product(rep, codes, inner, start, start + period)
         q = np.linalg.matrix_power(q.reshape(d, d), count)  # by repeated squaring
         p = q if p is None else q @ p.reshape(d, d)
         at = start + period * count
-    return _fold(rep, letters, at, hi, p)
+    return _fold(rep, codes, at, hi, p)
 
 
-def _element(rep: Representation, letters, runs, lo: int, hi: int) -> tuple[int, int]:
-    """The ``Representation.group`` element of letters[lo:hi] and its exponent sum.
+def _element(rep: Representation, codes: np.ndarray, runs, lo: int, hi: int) -> tuple[int, int]:
+    """The ``Representation.group`` element of codes[lo:hi] and its exponent sum.
 
     ``runs`` are the power runs of the span, with starts relative to ``lo``.
     A run is its period's element repeated count % order times (Lagrange).
@@ -495,18 +501,15 @@ def _element(rep: Representation, letters, runs, lo: int, hi: int) -> tuple[int,
     pieces, total, at = [], 0, lo
     for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
         start += lo
-        codes = np.fromiter((l.sign * l.index for l in letters[at:start]), np.intp, start - at)
-        pieces.append(letter_elements[codes])
-        total += int(np.sign(codes).sum())
+        stretch = codes[at:start]
+        pieces.append(letter_elements[stretch])
+        total += int(np.sign(stretch).sum())
         if count:
-            g, e = _element(rep, letters, inner, start, start + period)
+            g, e = _element(rep, codes, inner, start, start + period)
             pieces.append(np.full(count % len(table), g))
             total += count * e
         at = start + period * count
-    ids = np.concatenate(pieces)
-    while len(ids) > 1:  # an odd last element passes to the next round as it is
-        ids = np.concatenate((table[ids[:-1:2], ids[1::2]], ids[len(ids) & ~1 :]))
-    return (int(ids[0]) if len(ids) else 0), total
+    return table_product(table, np.concatenate(pieces)), total
 
 
 def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
@@ -527,9 +530,9 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
         )
     d = rep.dimension
     if rep.phase is not None:
-        g, e = _element(rep, word.letters, word.powers, 0, len(word.letters))
+        g, e = _element(rep, word.codes, word.powers, 0, len(word))
         return np.exp(1j * rep.phase * e) * rep.group[0][g]
-    p = _product(rep, word.letters, word.powers, 0, len(word.letters))
+    p = _product(rep, word.codes, word.powers, 0, len(word))
     if p is None:
         return np.eye(d, dtype=complex)
     return np.ascontiguousarray(p.reshape(d, d).T)

@@ -1,8 +1,12 @@
+import copy
+import dataclasses
 import gc
+import pickle
 import random
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -197,7 +201,24 @@ class TestParser:
 
 @st.composite
 def flat_texts(draw, strands=3):
-    """Generators with an optional ^-1, any spacing, s or σ, up to three digits."""
+    """Text that both flat readings take: one-digit generators with an optional
+    ^-1, at least one space between tokens; long when ``long`` is drawn."""
+    tokens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        index = draw(st.integers(min_value=1, max_value=min(strands - 1, 9)))
+        tokens.append(f"s{index}{draw(st.sampled_from(['', '^-1']))}")
+    spaces = st.text(alphabet=" ", min_size=1, max_size=3)
+    text = "".join(draw(spaces) + token for token in tokens) + draw(spaces)
+    if draw(st.booleans()):  # past SCAN_CHARS: the byte scan reads it
+        text *= braids.SCAN_CHARS // len(text) + 1
+    return text
+
+
+@st.composite
+def spelled_texts(draw, strands=3):
+    """Generators with an optional ^-1 in every spelling the grammar takes: s or σ,
+    leading zeros, no space or any str.isspace whitespace between tokens and
+    before the ^-1, short or past SCAN_CHARS."""
     parts = [draw(SEPARATORS)]
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         index = draw(st.integers(min_value=1, max_value=strands - 1))
@@ -206,28 +227,50 @@ def flat_texts(draw, strands=3):
         if draw(st.booleans()):
             parts.append(f"{draw(SEPARATORS)}^-1")
         parts.append(draw(SEPARATORS))
-    return "".join(parts)
+    text = "".join(parts)
+    if text and draw(st.booleans()):
+        text *= braids.SCAN_CHARS // len(text) + 1
+    return text
 
 
 def grammar_parse(text, strands):
-    """The grammar alone, without the letter table of flat text."""
-    decoded = {token: braids._decode(token) for token in braids._TOKEN.findall(text)}
-    letters, runs, _ = braids._parse_sequence(braids._positioned(text, decoded), 0, 0, strands)
-    return BraidWord(strands, tuple(letters))
+    """The token regex and the grammar alone, without the flat readings."""
+    letters, runs, _ = braids._parse_sequence(braids._positioned(text), 0, 0, strands)
+    return braids._trusted_word(strands, tuple(letters), powers=tuple(runs))
 
 
 def outcome(parse, text, strands):
+    """The letters and power runs a parse gives, or its error message and position."""
     try:
-        return parse(text, strands)
+        word = parse(text, strands)
     except WordSyntaxError as err:
-        return str(err), err.position
+        return "error", str(err), err.position
+    return "word", word.letters, word.powers
+
+
+# Ahead of a case, flat text that takes the case past SCAN_CHARS.
+LONG_PREFIX = "s1 s2^-1 " * 100
+
+
+def assert_codes(word):
+    """``word.codes`` is a read-only intp array of the signed letters."""
+    codes = word.codes
+    assert codes.dtype == np.intp and codes.shape == (len(word),)
+    assert codes.tolist() == codes_of(word)
+    assert not codes.flags.writeable
+    if len(codes):
+        with pytest.raises(ValueError):
+            codes[0] = 1
 
 
 class TestFlatText:
-    """Flat text takes its letters from the token table and gives what the grammar gives."""
+    """Flat text is read straight into codes and gives what the grammar gives."""
+
+    def test_long_prefix_passes_the_scan_length(self):
+        assert len(LONG_PREFIX) >= braids.SCAN_CHARS
 
     @given(
-        st.integers(min_value=2, max_value=9).flatmap(
+        st.integers(min_value=2, max_value=12).flatmap(
             lambda n: st.tuples(st.just(n), flat_texts(n))
         )
     )
@@ -238,35 +281,83 @@ class TestFlatText:
             assert not grammar.called  # flat text never reaches the grammar
             assert word == parse_braid_word("(" + text + ")", n)  # a group takes the grammar
             assert grammar.called
+        assert outcome(parse_braid_word, text, n) == outcome(grammar_parse, text, n)
         assert word.powers == ()
         assert all(letter is shared_letter(letter.index, letter.sign) for letter in word.letters)
+        assert_codes(word)
+
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda n: st.tuples(st.just(n), spelled_texts(n))
+        )
+    )
+    def test_every_spelling_parses_as_the_grammar_does(self, case):
+        n, text = case
+        assert outcome(parse_braid_word, text, n) == outcome(grammar_parse, text, n)
+        assert_codes(parse_braid_word(text, n))
 
     @given(st.text(alphabet="sσ0123^-+() \t\u3000x", max_size=30))
     def test_any_text_parses_as_the_grammar_does(self, text):
         assert outcome(parse_braid_word, text, 3) == outcome(grammar_parse, text, 3)
 
-    @pytest.mark.parametrize(
-        "text,position",
-        [
-            ("s0", 0),
-            ("s1234", 0),
-            ("s1^-12", None),
-            ("s1^-1^-1", 5),
-            ("s1 s3", 3),
-            ("s2 σ003^-1", 3),
-            ("s1 ^-1 s0002", None),
-            ("s1^-1 x", 6),
-            ("s1 ^ -1", 3),
-            ("s1^+1 s2", None),
-        ],
-    )
+    @given(st.text(alphabet="sσ01239^-+() \t\x1c\u3000x", max_size=30), st.sampled_from([3, 11]))
+    def test_any_long_text_parses_as_the_grammar_does(self, text, n):
+        for long in (LONG_PREFIX + text, text + LONG_PREFIX, LONG_PREFIX + text + LONG_PREFIX):
+            assert outcome(parse_braid_word, long, n) == outcome(grammar_parse, long, n)
+
+    FLAT_LOOKING = [
+        ("s0", 0),
+        ("s1234", 0),
+        ("s1^-12", None),
+        ("s1^-1^-1", 5),
+        ("s1 s3", 3),
+        ("s2 σ003^-1", 3),
+        ("s1 ^-1 s0002", None),
+        ("s1^-1 x", 6),
+        ("s1 ^ -1", 3),
+        ("s1^+1 s2", None),
+        ("s1\ts2^-1", None),
+        ("s1\x1cs2^-1", None),
+        ("s1\u3000s2^-1", None),
+        ("σ1 σ2^-1", None),
+        ("s01 s002^-1", None),
+        ("s1 ^-1", None),
+        ("s1s2", None),
+        ("s1^-1s2^-1s1", None),
+        ("s1^-1^2", 5),
+        ("s2^-1 s1 s9", 9),
+        ("s1 s2 s", 6),
+        ("s1 s2-", 5),
+        ("s1 s2^", 5),
+        ("s1 s2^-", 5),
+        ("s1 -1", 3),
+        ("s1 1", 3),
+    ]
+
+    @pytest.mark.parametrize("text,position", FLAT_LOOKING)
     def test_flat_looking_texts_parse_as_the_grammar_does(self, text, position):
         result = outcome(parse_braid_word, text, 3)
         assert result == outcome(grammar_parse, text, 3)
         if position is None:
-            assert isinstance(result, BraidWord)
+            assert result[0] == "word"
         else:
-            assert result[1] == position
+            assert result[2] == position
+
+    @pytest.mark.parametrize("text,position", FLAT_LOOKING)
+    def test_long_flat_looking_texts_parse_as_the_grammar_does(self, text, position):
+        for long in (LONG_PREFIX + text, text + " " + LONG_PREFIX):
+            result = outcome(parse_braid_word, long, 3)
+            assert result == outcome(grammar_parse, long, 3)
+            assert result[0] == ("word" if position is None else "error")
+        if position is not None:
+            assert result[2] == position
+
+    @pytest.mark.parametrize("text", ["s10 s1^-1", "s1 s10^-1 s11"])
+    def test_two_digit_indices_take_the_grammar(self, text):
+        for t in (text, LONG_PREFIX + text):
+            result = outcome(parse_braid_word, t, 12)
+            assert result[0] == "word"
+            assert result == outcome(grammar_parse, t, 12)
 
     def test_letter_cap_error_comes_from_the_grammar(self, monkeypatch):
         monkeypatch.setattr(braids, "MAX_WORD_LETTERS", 5)
@@ -274,6 +365,13 @@ class TestFlatText:
         with pytest.raises(WordSyntaxError, match="past 5 letters") as err:
             parse_braid_word("s1 " * 6, 3)
         assert err.value.position == 15
+
+    def test_letter_cap_error_comes_from_the_grammar_past_the_scan_length(self, monkeypatch):
+        monkeypatch.setattr(braids, "MAX_WORD_LETTERS", 200)
+        assert len(parse_braid_word("s1 " * 200, 3)) == 200
+        with pytest.raises(WordSyntaxError, match="past 200 letters") as err:
+            parse_braid_word("s1 " * 201, 3)
+        assert err.value.position == 600
 
     def test_letter_cap_error_points_at_the_power_of_an_inverse(self, monkeypatch):
         monkeypatch.setattr(braids, "MAX_WORD_LETTERS", 5)
@@ -292,9 +390,10 @@ class TestFlatText:
         finally:
             tracemalloc.stop()
         assert len(word) == 10**5
-        # Measured 5.1 MB: the match list, the inverse letters' match strings and
-        # the letters as a list and a tuple.  The tokenizer path takes 17.7 MB,
-        # and a flatness test by a backtracking fullmatch 43 MB.
+        # Measured 2.7 MB: the text's bytes, the "s" positions and the
+        # codes (8 bytes a letter each), and the letters as an object array,
+        # a list and a tuple.  The token regex took 7.7 MB, the tokenizer
+        # path 17.7 MB, and a flatness test by a backtracking fullmatch 43 MB.
         assert peak < 8 * 10**6
 
 
@@ -409,14 +508,102 @@ class TestWordAlgebra:
         with pytest.raises(ValueError):
             GeneratorLetter(1, 2)
 
+    @pytest.mark.parametrize("index,sign", [(1.5, 1), (2.0, -1), (1, 1.0), ("1", 1), (1, None)])
+    def test_letter_fields_must_be_integers(self, index, sign):
+        with pytest.raises(ValueError, match="must be integers"):
+            GeneratorLetter(index, sign)
+
+    def test_letter_fields_are_read_as_plain_ints(self):
+        letter = GeneratorLetter(np.int64(2), np.int8(-1))
+        assert type(letter.index) is int and type(letter.sign) is int
+        assert letter == GeneratorLetter(2, -1)
+        word = BraidWord(3, (letter, GeneratorLetter(1, True)))
+        assert summarize_closure(word).exponent_sum == 0
+        assert type(summarize_closure(word).exponent_sum) is int
+
     def test_word_validation(self):
         with pytest.raises(ValueError):
             BraidWord(1, ())
         with pytest.raises(ValueError):
             BraidWord(2, (GeneratorLetter(2, 1),))
+        with pytest.raises(ValueError, match="GeneratorLetter items"):
+            BraidWord(3, [1, 2])
+        with pytest.raises(ValueError, match="GeneratorLetter items"):
+            BraidWord(3, (GeneratorLetter(1, 1), (2, -1)))
+
+
+class TestCodes:
+    """``BraidWord.codes`` holds the signed letters, read-only, however the word was made."""
+
+    @given(st.sampled_from([3, 5]).flatmap(lambda n: st.tuples(st.just(n), word_texts(strands=n))))
+    @example((3, "((s1)^-500 (s2 s1)^-130)^-2"))
+    @example((3, "(s2 ((s1 s2^-1)^150 s2)^2)^-3 s1"))
+    def test_grammar_words(self, case):
+        n, text = case
+        word = parse_braid_word(text, n)
+        assert_codes(word)
+        for derived in (inverse(word), free_reduce(word), concat(word, inverse(word))):
+            assert_codes(derived)
+
+    @given(st.integers(min_value=2, max_value=12).flatmap(flat_texts))
+    def test_flat_words(self, text):
+        word = parse_braid_word(text, 12)
+        assert_codes(word)
+        assert_codes(inverse(word))
+        assert_codes(free_reduce(word))
+
+    @given(words(4, max_size=40), words(4, max_size=40))
+    def test_built_words(self, w1, w2):
+        for word in (w1, concat(w1, w2), inverse(w1), free_reduce(concat(w1, inverse(w2)))):
+            assert_codes(word)
+        assert_codes(dataclasses.replace(w1))
+        assert_codes(dataclasses.replace(w1, letters=w2.letters))
+        assert_codes(identity_word(4))
+
+    def test_copies_and_pickles_read_the_codes_again(self):
+        word = parse_braid_word("(s1 s2^-1)^3 s2", 3)
+        word.codes
+        for again in (copy.copy(word), copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+            assert again == word and again.powers == word.powers
+            assert_codes(again)
+
+    def test_replace_drops_the_runs_and_keeps_the_codes_right(self):
+        word = parse_braid_word("(s1 s2^-1)^3 s2", 3)
+        assert_codes(word)
+        again = dataclasses.replace(word)
+        assert again.powers == () and again == word
+        assert_codes(again)
+        assert_codes(dataclasses.replace(word, letters=word.letters[:3]))
+
+
+def swapped_images(word):
+    """The permutation image and signed letter counts by one swap per letter."""
+    moved, sums = list(range(word.strands)), [0] * word.strands
+    for c in codes_of(word):
+        i = abs(c)
+        moved[i - 1], moved[i] = moved[i], moved[i - 1]
+        sums[i] += 1 if c > 0 else -1
+    image = [0] * word.strands
+    for position, start in enumerate(moved, start=1):
+        image[start] = position
+    return tuple(image), tuple(sums[1:])
 
 
 class TestPermutations:
+    @given(st.integers(min_value=2, max_value=9).flatmap(lambda n: words(n, max_size=60)))
+    def test_images_are_the_letter_by_letter_swaps(self, word):
+        assert braids.word_images(word) == swapped_images(word)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_images_of_long_words_in_small_chunks(self, n, monkeypatch):
+        rng = random.Random(n)
+        codes = [rng.randint(1, n - 1) * rng.choice([1, -1]) for _ in range(5000)]
+        word = word_of(n, codes)
+        expected = swapped_images(word)
+        assert braids.word_images(word) == expected
+        monkeypatch.setattr(braids, "PERMUTATION_CHUNK", 3 * n)  # three letters per chunk
+        assert braids.word_images(word_of(n, codes)) == expected
+
     def test_image_of_single_letter(self):
         assert permutation_image(parse_braid_word("s1", 3)) == (2, 1, 3)
 
