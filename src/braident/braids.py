@@ -1,8 +1,13 @@
 """Braid words over B_n: concrete syntax, free-group algebra, symmetric-group image.
 
-A braid word is a flat sequence of signed generator letters ``s1, s2^-1, ...``
-over a fixed strand count.  The text grammar (whitespace between tokens is
-optional except inside generator names):
+A braid word over a fixed strand count is its codes: one read-only array of
+signed generator indices, ``BraidWord.codes``, +i for s_i and -i for s_i^-1.
+Construction checks the whole array in one vectorised pass, and every layer
+(evaluation, the closure bookkeeping, the renderers) reads that array.
+``BraidWord.letters`` is a view derived from it on request, (index, sign)
+pairs, kept for the benchmark oracle (``perfbench/oracle.py``), which reads
+``index * sign``.  The text grammar (whitespace between tokens is optional
+except inside generator names):
 
     word   := item*
     item   := atom power?
@@ -10,47 +15,41 @@ optional except inside generator names):
     power  := "^" signed-integer
 
 Both the ASCII spelling ``s1`` and the Unicode ``σ1`` are accepted; the
-renderer always emits ASCII.  Powers expand eagerly, so the letters of a parsed
-word are stored flat; ``(w)^-k`` expands to the reversed word with flipped signs
-repeated k times.  The parser also records every ``^k`` with |k| >= 2 as a run
-in ``BraidWord.powers``, a tree in which each run holds the runs of its first
+renderer always emits ASCII.  Powers expand eagerly into the codes: ``(w)^k``
+is w's codes tiled k times, and ``(w)^-k`` the reversed codes negated, tiled.
+The parser also records every ``^k`` with |k| >= 2 as a run in
+``BraidWord.powers``, a tree in which each run holds the runs of its first
 period, so evaluation can raise a long run's period to its power instead of
-multiplying out its letters.  Runs are a hint about the letters, not part of
+multiplying out its letters.  Runs are a hint about the codes, not part of
 the word: equality, hashing and rendering ignore them.
-
-Every word also holds its letters as one read-only array of signed generator
-indices, ``BraidWord.codes`` (+i for s_i, -i for s_i^-1).  Evaluation and the
-closure bookkeeping read that array, never the letters one by one.
 
 Flat text is generators with a one-digit index and an optional ``^-1``,
 apart from whitespace.  It is read straight into codes: a text shorter than
 SCAN_CHARS is split at whitespace and its tokens looked up in a table, and a
-longer one is scanned as bytes by numpy, with no string per letter.  The
-letters are then one table lookup per code.  Any other text goes through one
-token regex and the grammar, so errors carry their message and position.
-Both readings check every index as they read it, so parsed words are built
-without ``BraidWord``'s per-letter check.  A grammar-built word gets its codes
-from its power runs, each run's first period tiled.
+longer one is scanned as bytes by numpy, with no string per letter.  Any
+other text goes through one token regex and the grammar, so errors carry
+their message and position.
 
 Words map onto the symmetric group by sending every letter, regardless of
 sign, to the adjacent transposition swapping its index with the next point.
 The image is a plain tuple: entry x-1 is the end position of the strand that
 starts at position x, with letters acting in word order.  Cycle counting of
 that image gives the number of components of the word's closure.  The image
-composes the letters' transpositions pairwise, and the signed letter count
-per generator (the image in the free group's abelianization) counts the
-codes.  Both are taken over the power runs: a run costs its first period plus
-a permutation power.
+reduces the letters' transpositions in a symmetric group's Cayley table, and
+the signed letter count per generator (the image in the free group's
+abelianization) counts the codes.  Both are taken over the power runs: a run
+costs its first period plus a permutation power.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import re
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,10 +69,8 @@ SCAN_CHARS = 750
 
 # word_images reduces a stretch of letters on at most TABLE_POINTS points in the
 # Cayley table of the symmetric group (120 elements at 5 points); on more it
-# composes their transpositions pairwise, PERMUTATION_CHUNK letters times
-# points at a time.
+# swaps the points one letter at a time.
 TABLE_POINTS = 5
-PERMUTATION_CHUNK = 2**15
 
 
 class WordSyntaxError(ValueError):
@@ -84,92 +81,85 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class GeneratorLetter:
-    """One letter s_index^(sign) with sign +1 or -1.
-
-    Both fields are read with ``operator.index``, so a float or a string
-    raises ValueError.
-    """
+class Letter(NamedTuple):
+    """One letter s_index^sign of a word, sign +1 or -1: a view of one code."""
 
     index: int
     sign: int
 
-    def __post_init__(self):
-        try:
-            index, sign = operator.index(self.index), operator.index(self.sign)
-        except TypeError:
-            raise ValueError(
-                f"generator index and sign must be integers, got {self.index!r} and {self.sign!r}"
-            ) from None
-        if index < 1:
-            raise ValueError(f"generator index must be >= 1, got {index}")
-        if sign not in (1, -1):
-            raise ValueError(f"exponent sign must be +1 or -1, got {sign}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "sign", sign)
 
-    def inverse(self) -> "GeneratorLetter":
-        return shared_letter(self.index, -self.sign)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BraidWord:
-    """A flat word over the braid group on ``strands`` strands.
+    """A word over the braid group on ``strands`` strands, stored as its codes.
 
-    The empty letter sequence is the group identity.  Every letter must be a
-    GeneratorLetter with index at most strands - 1.
+    ``codes`` is any 1-D array-like of integers, each nonzero with absolute
+    value at most strands - 1; the word keeps a read-only intp copy.  The
+    empty word is the group identity.  Two words are equal when their
+    strands and codes are.
 
     ``powers`` holds the runs of a parsed word, one per ``^k`` with |k| >= 2
     of a nonempty atom, as a tree.  A run ``(start, period, count, inner)``
-    is ``count`` copies of the ``period`` letters from ``start``, which
-    counts from the start of the span that holds the run: the word, or the
-    first period of the run around it.  ``inner`` holds the runs inside that
-    first period in the same form.  Only ``parse_braid_word`` sets them;
-    every other word has none, and they take no part in comparison, hashing
-    or rendering.
+    is ``count`` copies of the ``period`` codes from ``start``, which counts
+    from the start of the span that holds the run: the word, or the first
+    period of the run around it.  ``inner`` holds the runs inside that first
+    period in the same form.  Only ``parse_braid_word`` sets them, and copies
+    keep them; every other word has none, and they take no part in
+    comparison, hashing or rendering.
     """
 
     strands: int
-    letters: tuple[GeneratorLetter, ...] = ()
-    powers: tuple[tuple[int, int, int, tuple], ...] = field(
-        init=False, default=(), compare=False, repr=False
-    )
+    codes: np.ndarray = ()
+    powers: tuple[tuple[int, int, int, tuple], ...] = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         if self.strands < 2:
             raise ValueError(f"a braid group needs at least 2 strands, got {self.strands}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
-            if not isinstance(letter, GeneratorLetter):
-                raise ValueError(f"a braid word holds GeneratorLetter items, got {letter!r}")
-            if letter.index > self.strands - 1:
-                raise ValueError(
-                    f"generator index {letter.index} out of range for {self.strands} strands "
-                    f"(max {self.strands - 1})"
-                )
+        codes = np.asarray(self.codes)
+        if codes.ndim != 1 or (len(codes) and codes.dtype.kind not in "iu"):
+            got = reprlib.repr(self.codes)
+            raise ValueError(f"braid word codes must be a 1-D array of integers, got {got}")
+        top = self.strands - 1
+        if len(codes) and not (-top <= codes.min() and codes.max() <= top and codes.all()):
+            bad = next(c for c in codes.tolist() if not 0 < abs(c) <= top)
+            raise ValueError(
+                f"generator code {bad} out of range for {self.strands} strands "
+                f"(nonzero, |code| <= {top})"
+            )
+        object.__setattr__(self, "codes", _frozen(codes.astype(np.intp)))
 
     @cached_property
-    def codes(self) -> np.ndarray:
-        """The letters as a read-only array of signed indices: +i for s_i, -i for s_i^-1.
+    def letters(self) -> tuple[Letter, ...]:
+        """The codes as (index, sign) letters, derived on first use for the
+        benchmark oracle (``perfbench/oracle.py``); equal letters share one
+        object, so the view costs a pointer per letter."""
+        codes = self.codes.tolist()
+        shared = {c: Letter(abs(c), 1 if c > 0 else -1) for c in set(codes)}
+        return tuple(map(shared.__getitem__, codes))
 
-        A word parsed from flat text comes with it; any other word reads its
-        letters once, on first use, each power run as its first period tiled.
-        """
-        return _frozen(_run_codes(self.letters, self.powers, 0, len(self.letters)))
+    def __eq__(self, other):
+        if not isinstance(other, BraidWord):
+            return NotImplemented
+        return self.strands == other.strands and np.array_equal(self.codes, other.codes)
 
-    def __getstate__(self):
-        # copies and pickles read the codes again: a copied array would be writable
-        return {k: v for k, v in self.__dict__.items() if k != "codes"}
+    def __hash__(self) -> int:
+        return hash((self.strands, self.codes.tobytes()))
+
+    def __reduce__(self):
+        # rebuilt from its codes, so a copy's or a pickle's codes are read-only too
+        return _word_with_runs, (self.strands, self.codes, self.powers)
 
     def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
+        return len(self.codes)
 
     def __str__(self) -> str:
         return render_braid_word(self)
+
+
+def _word_with_runs(strands: int, codes, powers: tuple) -> BraidWord:
+    """The word with these codes and power runs."""
+    word = BraidWord(strands, codes)
+    object.__setattr__(word, "powers", powers)
+    return word
 
 
 def identity_word(strands: int) -> BraidWord:
@@ -179,40 +169,6 @@ def identity_word(strands: int) -> BraidWord:
 def _frozen(codes: np.ndarray) -> np.ndarray:
     codes.setflags(write=False)
     return codes
-
-
-def _run_codes(letters, runs, lo: int, hi: int) -> np.ndarray:
-    """The codes of letters[lo:hi], whose power runs are ``runs``: each run is its
-    first period's codes tiled, and only the letters between runs are read."""
-    pieces, at = [], lo
-    for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
-        start += lo
-        pieces.append(np.fromiter((l.sign * l.index for l in letters[at:start]), np.intp))
-        if count:
-            pieces.append(np.tile(_run_codes(letters, inner, start, start + period), count))
-        at = start + period * count
-    return np.concatenate(pieces)
-
-
-def _trusted_word(strands: int, letters: tuple, codes=None, powers: tuple = ()) -> BraidWord:
-    """A word whose letters are known to be in range, made without ``__post_init__``'s
-    per-letter check; ``codes``, when given, must be the letters' read-only codes."""
-    word = object.__new__(BraidWord)
-    object.__setattr__(word, "strands", strands)
-    object.__setattr__(word, "letters", letters)
-    object.__setattr__(word, "powers", powers)
-    if codes is not None:
-        word.__dict__["codes"] = codes
-    return word
-
-
-@functools.lru_cache(maxsize=10)
-def _letter_table(top: int) -> np.ndarray:
-    """The shared letters as an object array: s_c at index c and s_c^-1 at -c, 1 <= c <= top."""
-    table = np.empty(2 * top + 1, dtype=object)
-    for c in range(1, top + 1):
-        table[c], table[-c] = shared_letter(c, 1), shared_letter(c, -1)
-    return table
 
 
 # The code of each flat token ("s1" is 1, "s1^-1" is -1) with index at most
@@ -324,12 +280,6 @@ def _positioned(text: str) -> list[tuple[int, int, int]]:
     return tokens
 
 
-@functools.lru_cache(maxsize=4096)
-def shared_letter(index: int, sign: int) -> GeneratorLetter:
-    """The shared letter s_index^(sign); parsed words hold these, not one object per letter."""
-    return GeneratorLetter(index, sign)
-
-
 def _mirrored(runs, length: int) -> tuple:
     """The runs of ``length`` letters, as runs of the inverted letters.
 
@@ -344,21 +294,23 @@ def _mirrored(runs, length: int) -> tuple:
 
 def _parse_sequence(
     tokens: list[tuple[int, int, int]], pos: int, depth: int, strands: int
-) -> tuple[list[GeneratorLetter], list[tuple], int]:
-    """Letters and power runs of the items from token ``pos`` up to an unmatched
+) -> tuple[np.ndarray, list[tuple], int]:
+    """Codes and power runs of the items from token ``pos`` up to an unmatched
     ")" or the end, and the position of that token.
 
     Runs are kept as ``BraidWord.powers`` describes, with starts relative to
-    the returned letters.  They are touched only at power tokens and group
-    ends, never per plain letter.
+    the returned codes.  A plain letter's code joins a list of ints; a power
+    or a group tiles its atom's codes as one array, so no power is expanded
+    letter by letter.
 
     A module-level function on purpose: a nested one that calls itself is a
     reference cycle that keeps the token list alive until the cycle
     collector runs, and in a loop of long parses those lists pile up.
     """
-    letters: list[GeneratorLetter] = []
+    pieces: list[np.ndarray] = []  # the codes so far, less ``plain``
+    plain: list[int] = []  # the codes of the plain letters since the last piece
     runs: list[tuple] = []
-    end = len(tokens)
+    length, end = 0, len(tokens)
     while pos < end:
         kind, value, at = tokens[pos]
         if kind == _GEN:
@@ -368,8 +320,7 @@ def _parse_sequence(
                     f"(max {strands - 1})",
                     at,
                 )
-            atom = [shared_letter(value, 1)]
-            inner = ()
+            atom, inner = value, ()
             pos += 1
         elif kind == _OPEN:
             if depth >= MAX_NESTING_DEPTH:
@@ -381,36 +332,41 @@ def _parse_sequence(
         elif kind == _CLOSE:
             if depth == 0:
                 raise WordSyntaxError("unmatched ')'", at)
-            return letters, runs, pos
+            break
         else:
             raise WordSyntaxError("power without a preceding generator or group", at)
         k = 1
         if pos < end and tokens[pos][0] == _POW:
             _, k, at = tokens[pos]
             pos += 1
-        if len(letters) + len(atom) * abs(k) > MAX_WORD_LETTERS:
+        size = 1 if kind == _GEN else len(atom)
+        if length + size * abs(k) > MAX_WORD_LETTERS:
             raise WordSyntaxError(f"word expands past {MAX_WORD_LETTERS} letters", at)
-        if k != 1:
-            if k == 0:
-                continue
-            if k < 0:
-                if inner:
-                    inner = _mirrored(inner, len(atom))
-                atom = [letter.inverse() for letter in reversed(atom)]
-                k = -k
-            if k > 1 and atom:
-                runs.append((len(letters), len(atom), k, tuple(inner)))
-                inner = ()  # the atom's runs now sit in the first period
-            atom *= k
-        if inner:  # a group with no power: its top-level runs join this span
-            base = len(letters)
-            runs += [(base + s, p, c, kids) for s, p, c, kids in inner]
-        letters += atom
-    return letters, runs, pos
+        if k == 0:
+            continue
+        if kind == _GEN and k in (1, -1):
+            plain.append(k * atom)
+            length += 1
+            continue
+        atom = np.array([atom], np.intp) if kind == _GEN else atom
+        if k < 0:
+            inner = _mirrored(inner, size)
+            atom, k = -atom[::-1], -k
+        if k > 1 and size:
+            runs.append((length, size, k, tuple(inner)))
+            inner = ()  # the atom's runs now sit in the first period
+            atom = np.tile(atom, k)
+        # a group with no power: its top-level runs join this span
+        runs += [(length + s, p, c, kids) for s, p, c, kids in inner]
+        pieces += (np.array(plain, np.intp), atom)
+        plain = []
+        length += len(atom)
+    pieces.append(np.array(plain, np.intp))
+    return np.concatenate(pieces), runs, pos
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
-    """Parse braid word text into a flat BraidWord over the given strand count.
+    """Parse braid word text into a BraidWord over the given strand count.
 
     Flat text of at most MAX_WORD_LETTERS letters is read straight into the
     word's codes (``_flat_codes``); any other text goes through the token
@@ -425,30 +381,26 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
     codes = _flat_codes(text, strands)
     if codes is not None and len(codes) <= MAX_WORD_LETTERS:
-        letters = tuple(_letter_table(min(strands - 1, 9))[codes].tolist())
-        return _trusted_word(strands, letters, _frozen(codes))
-    letters, runs, _ = _parse_sequence(_positioned(text), 0, 0, strands)
-    return _trusted_word(strands, tuple(letters), powers=tuple(runs))
+        return BraidWord(strands, codes)
+    codes, runs, _ = _parse_sequence(_positioned(text), 0, 0, strands)
+    return _word_with_runs(strands, codes, tuple(runs))
 
 
 def render_braid_word(word: BraidWord) -> str:
-    """ASCII rendering that parse_braid_word maps back to the same letters."""
-    return " ".join(
-        f"s{letter.index}" if letter.sign > 0 else f"s{letter.index}^-1"
-        for letter in word.letters
-    )
+    """ASCII rendering that parse_braid_word maps back to the same codes."""
+    return " ".join(f"s{c}" if c > 0 else f"s{-c}^-1" for c in word.codes.tolist())
 
 
 def concat(w1: BraidWord, w2: BraidWord) -> BraidWord:
-    """Group product: letters of w1 followed by letters of w2 (no reduction)."""
+    """Group product: codes of w1 followed by codes of w2 (no reduction)."""
     if w1.strands != w2.strands:
         raise ValueError(f"strand-count mismatch: {w1.strands} vs {w2.strands}")
-    return BraidWord(w1.strands, w1.letters + w2.letters)
+    return BraidWord(w1.strands, np.concatenate((w1.codes, w2.codes)))
 
 
 def inverse(word: BraidWord) -> BraidWord:
-    """Group inverse: letters reversed with every sign flipped."""
-    return BraidWord(word.strands, tuple(l.inverse() for l in reversed(word.letters)))
+    """Group inverse: codes reversed and negated."""
+    return BraidWord(word.strands, -word.codes[::-1])
 
 
 def free_reduce_codes(codes) -> list[int]:
@@ -469,8 +421,7 @@ def free_reduce(word: BraidWord) -> BraidWord:
     The braid relation is never applied syntactically; words that are equal in
     the braid group but not freely equal stay distinct.
     """
-    codes = free_reduce_codes(word.codes.tolist())
-    return BraidWord(word.strands, tuple(shared_letter(abs(c), 1 if c > 0 else -1) for c in codes))
+    return BraidWord(word.strands, free_reduce_codes(word.codes.tolist()))
 
 
 def _permutation_power(moved: np.ndarray, count: int) -> np.ndarray:
@@ -519,25 +470,17 @@ def _stretch_moved(codes: np.ndarray) -> np.ndarray:
     """``moved`` of a stretch of plain letters, on the points 0..max|code| it touches.
 
     On at most TABLE_POINTS points the letters are reduced in the Cayley
-    table of the symmetric group.  On more, their transpositions are
-    composed pairwise, in chunks of at most PERMUTATION_CHUNK letters times
-    points, so no array grows with the word.
+    table of the symmetric group; on more, each letter swaps two points.
     """
     points = max(int(codes.max()), -int(codes.min())) + 1
     if points <= TABLE_POINTS:
         elements, table, swaps = _symmetric_group(points)
         return elements[table_product(table, swaps[np.abs(codes)])]
-    moved = np.arange(points)
-    step = max(1, PERMUTATION_CHUNK // points)
-    for lo in range(0, len(codes), step):
-        perms = _swaps(codes[lo : lo + step], points)
-        while len(perms) > 1:
-            if len(perms) & 1:  # fold the odd last letter into the one before it
-                perms[-2] = perms[-2][perms[-1]]
-                perms = perms[:-1]
-            perms = np.take_along_axis(perms[::2], perms[1::2], axis=1)
-        moved = moved[perms[0]]
-    return moved
+    moved = list(range(points))
+    for c in codes.tolist():
+        i = abs(c)
+        moved[i - 1], moved[i] = moved[i], moved[i - 1]
+    return np.array(moved)
 
 
 def _walk(codes: np.ndarray, runs, lo: int, hi: int, strands: int) -> tuple[np.ndarray, np.ndarray]:

@@ -69,10 +69,8 @@ def render_braid_ascii(word: BraidWord, ascii_only: bool = False) -> str:
     n = word.strands
     if n > MAX_RENDER_STRANDS:
         raise ValueError(f"diagram supports at most {MAX_RENDER_STRANDS} strands, got {n}")
-    if len(word.letters) > MAX_RENDER_LETTERS:
-        raise ValueError(
-            f"diagram supports at most {MAX_RENDER_LETTERS} letters, got {len(word.letters)}"
-        )
+    if len(word) > MAX_RENDER_LETTERS:
+        raise ValueError(f"diagram supports at most {MAX_RENDER_LETTERS} letters, got {len(word)}")
     bar = "|" if ascii_only else "│"
     bars = "   ".join([bar] * n)  # strand i's vertical is at column 4(i-1)
     lines = [
@@ -82,9 +80,9 @@ def render_braid_ascii(word: BraidWord, ascii_only: bool = False) -> str:
         "   ".join(str(i) for i in range(1, n + 1)),
         bars,
     ]
-    for letter in word.letters:
-        c = 4 * (letter.index - 1)  # a band spans the five columns from strand i to i+1
-        for band in ("\\   /", "  \\  " if letter.sign > 0 else "  /  ", "/   \\"):
+    for code in word.codes.tolist():
+        c = 4 * (abs(code) - 1)  # a band spans the five columns from strand i to i+1
+        for band in ("\\   /", "  \\  " if code > 0 else "  /  ", "/   \\"):
             lines.append((bars[:c] + band + bars[c + 5 :]).rstrip())
         lines.append(bars)
     return "\n".join(lines)

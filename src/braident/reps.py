@@ -48,19 +48,19 @@ written word order, so the word "s1 s2" becomes the operator product
 sigma_1 sigma_2, whose rightmost factor (the last letter) acts first on kets.
 Every other representation keeps that association by accumulating the
 transpose of the product: M <- M (I(x)B(x)I) is P <- (I(x)B^T(x)I) P for
-P = M^T, one k x k block applied along the block's qubits of P.  For a
-whole-register block this is the same floating-point product as M <- M B.
+P = M^T, one k x k block applied along the block's qubits of P.
 
-On local blocks (``generic_rep``) the letters are fused before they reach
-P.  In written order, a letter joins the latest pending group that holds
-one of its qubits if the two together span at most WINDOW = 3 qubits; it
-may pass the groups after that one, which share no qubit with it and so
-commute with it.  Otherwise it opens a new group.  Each group's product,
-k x k when all its letters share one block's qubits and else 8 x 8 from the
-``window_steps`` placed once per representation, is then applied to P in
-one pass: a group of g letters costs g small matmuls plus one d^2 * 8 pass
-instead of g passes of d^2 * 4.  On a random word each pass takes about
-four letters.
+On ``generic_rep`` the letters are fused before they reach P.  In written
+order, a letter joins the latest pending group that holds one of its qubits
+if the two together span at most WINDOW = 3 qubits; it may pass the groups
+after that one, which share no qubit with it and so commute with it.
+Otherwise it opens a new group.  Each group's product, k x k when all its
+letters share one block's qubits and else 8 x 8 from the ``window_steps``
+placed once per representation, is then applied to P in one pass: a group
+of g letters costs g small matmuls plus one d^2 * 8 pass instead of g
+passes of d^2 * 4.  On a random word each pass takes about
+four letters.  On 2 strands every letter shares the one block, so a stretch
+is one group, whose product is the left fold of its letters.
 
 Evaluation plan on every other representation.  One length rule applies,
 SEGMENT letters.  A power run (``BraidWord.powers``, a tree in which each run
@@ -446,22 +446,16 @@ def _fold(
     """Continue the transposed product ``p`` (None: the identity) over codes[lo:hi].
 
     A stretch of more than SEGMENT letters is freely reduced first.  The
-    letters take one step each on whole-register blocks, or one per fused
-    group (``_fused_steps``) on local blocks.
+    letters take one step per fused group (``_fused_steps``).
     """
     if lo == hi:
         return p
-    d = rep.dimension
     codes = codes[lo:hi].tolist()
     if len(codes) > SEGMENT:
         codes = free_reduce_codes(codes)
     if p is None:
-        p = np.eye(d, dtype=complex)
-    if all(len(block) == d for block, _ in rep.blocks):
-        steps = map(rep.steps.__getitem__, codes)
-    else:
-        steps = _fused_steps(rep, codes)
-    for block_t, shape in steps:
+        p = np.eye(rep.dimension, dtype=complex)
+    for block_t, shape in _fused_steps(rep, codes):
         if p.shape != shape:  # a reshape on every 8x8 letter made evaluate ~8% slower
             p = p.reshape(shape)
         p = block_t @ p
@@ -520,8 +514,7 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     use the conjugate transpose of the generator image.  The empty word
     evaluates to the identity.  b2, ge and jones read the word in their
     finite image group; elsewhere the evaluation plan of the module docstring
-    applies, and a word of at most SEGMENT letters on whole-register blocks
-    is multiplied out one letter after another.
+    applies.
     """
     if word.strands != rep.strands:
         raise ValueError(

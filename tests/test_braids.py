@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from braident import braids
 from braident.braids import (
     BraidWord,
-    GeneratorLetter,
     WordSyntaxError,
     concat,
     cycle_count,
@@ -25,7 +24,6 @@ from braident.braids import (
     parse_braid_word,
     permutation_image,
     render_braid_word,
-    shared_letter,
 )
 from braident.links import summarize_closure
 from wordcodes import codes_of, word_of
@@ -195,8 +193,8 @@ class TestParser:
         first = parse_braid_word(text, 3)
         again = parse_braid_word(render_braid_word(first), 3)
         assert again == first
-        for letter in first.letters + again.letters:
-            assert letter is shared_letter(letter.index, letter.sign)
+        assert_codes(first)
+        assert_codes(again)
 
 
 @st.composite
@@ -235,17 +233,17 @@ def spelled_texts(draw, strands=3):
 
 def grammar_parse(text, strands):
     """The token regex and the grammar alone, without the flat readings."""
-    letters, runs, _ = braids._parse_sequence(braids._positioned(text), 0, 0, strands)
-    return braids._trusted_word(strands, tuple(letters), powers=tuple(runs))
+    codes, runs, _ = braids._parse_sequence(braids._positioned(text), 0, 0, strands)
+    return braids._word_with_runs(strands, codes, tuple(runs))
 
 
 def outcome(parse, text, strands):
-    """The letters and power runs a parse gives, or its error message and position."""
+    """The codes and power runs a parse gives, or its error message and position."""
     try:
         word = parse(text, strands)
     except WordSyntaxError as err:
         return "error", str(err), err.position
-    return "word", word.letters, word.powers
+    return "word", codes_of(word), word.powers
 
 
 # Ahead of a case, flat text that takes the case past SCAN_CHARS.
@@ -253,10 +251,11 @@ LONG_PREFIX = "s1 s2^-1 " * 100
 
 
 def assert_codes(word):
-    """``word.codes`` is a read-only intp array of the signed letters."""
+    """``word.codes`` is a read-only intp array, and ``word.letters`` its view."""
     codes = word.codes
     assert codes.dtype == np.intp and codes.shape == (len(word),)
-    assert codes.tolist() == codes_of(word)
+    assert [letter.index * letter.sign for letter in word.letters] == codes.tolist()
+    assert all(letter.sign in (1, -1) for letter in word.letters)
     assert not codes.flags.writeable
     if len(codes):
         with pytest.raises(ValueError):
@@ -283,7 +282,6 @@ class TestFlatText:
             assert grammar.called
         assert outcome(parse_braid_word, text, n) == outcome(grammar_parse, text, n)
         assert word.powers == ()
-        assert all(letter is shared_letter(letter.index, letter.sign) for letter in word.letters)
         assert_codes(word)
 
     @given(
@@ -382,7 +380,7 @@ class TestFlatText:
     def test_long_text_keeps_no_state_per_letter(self):
         rng = random.Random(7)
         text = " ".join(f"s{rng.randint(1, 2)}{rng.choice(['', '^-1'])}" for _ in range(10**5))
-        parse_braid_word(text, 3)  # fills the shared-letter cache outside the measurement
+        parse_braid_word(text, 3)  # warms numpy's caches outside the measurement
         tracemalloc.start()
         try:
             word = parse_braid_word(text, 3)
@@ -391,9 +389,9 @@ class TestFlatText:
             tracemalloc.stop()
         assert len(word) == 10**5
         # Measured 2.7 MB: the text's bytes, the "s" positions and the
-        # codes (8 bytes a letter each), and the letters as an object array,
-        # a list and a tuple.  The token regex took 7.7 MB, the tokenizer
-        # path 17.7 MB, and a flatness test by a backtracking fullmatch 43 MB.
+        # codes (8 bytes a letter each).  The token regex took 7.7 MB, the
+        # tokenizer path 17.7 MB, and a flatness test by a backtracking
+        # fullmatch 43 MB.
         assert peak < 8 * 10**6
 
 
@@ -418,14 +416,14 @@ class TestPowerRuns:
     def test_only_the_parser_records_runs(self):
         word = parse_braid_word("(s1 s2)^3", 3)
         assert word.powers == ((0, 2, 3, ()),)
-        assert repr(word) == repr(BraidWord(3, word.letters))
+        assert repr(word) == repr(BraidWord(3, word.codes))
         for derived in (concat(word, word), inverse(word), free_reduce(word)):
             assert derived.powers == ()
 
     @given(word_texts())
     def test_runs_repeat_their_first_period(self, text):
         word = parse_braid_word(text, 3)
-        letters = word.letters
+        letters = codes_of(word)
 
         def check(runs, lo, hi):
             at = lo  # runs are disjoint, in order, inside [lo, hi), starts relative to lo
@@ -438,7 +436,7 @@ class TestPowerRuns:
                 at = stop
 
         check(word.powers, 0, len(letters))
-        flat = BraidWord(3, letters)
+        flat = BraidWord(3, word.codes)
         assert word == flat
         assert hash(word) == hash(flat)
 
@@ -450,7 +448,7 @@ class TestPowerRuns:
     def test_runs_give_the_images_of_the_letters(self, case):
         n, text = case
         word = parse_braid_word(text, n)
-        flat = BraidWord(n, word.letters)
+        flat = BraidWord(n, word.codes)
         assert permutation_image(word) == permutation_image(flat)
         assert exponent_sum(word) == exponent_sum(flat)
         assert summarize_closure(word) == summarize_closure(flat)
@@ -503,33 +501,66 @@ class TestWordAlgebra:
         assert exponent_sum(inverse(word)) == -exponent_sum(word)
 
     def test_letter_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorLetter(0, 1)
-        with pytest.raises(ValueError):
-            GeneratorLetter(1, 2)
+        # every code is a letter: nonzero, with |code| at most strands - 1
+        for codes in ([0], [1, 0, 2], [3], [-3], [1, -3]):
+            with pytest.raises(ValueError, match="out of range for 3 strands"):
+                BraidWord(3, codes)
+        with pytest.raises(ValueError, match="generator code 0"):
+            BraidWord(3, np.array([2, -1, 0], np.int8))
 
-    @pytest.mark.parametrize("index,sign", [(1.5, 1), (2.0, -1), (1, 1.0), ("1", 1), (1, None)])
-    def test_letter_fields_must_be_integers(self, index, sign):
-        with pytest.raises(ValueError, match="must be integers"):
-            GeneratorLetter(index, sign)
+    @pytest.mark.parametrize("code", [1.5, -2.0, 1.0, "1", None])
+    def test_codes_must_be_integers(self, code):
+        with pytest.raises(ValueError, match="1-D array of integers"):
+            BraidWord(3, [1, code])
+        with pytest.raises(ValueError, match="1-D array of integers"):
+            BraidWord(3, [code])
 
     def test_letter_fields_are_read_as_plain_ints(self):
-        letter = GeneratorLetter(np.int64(2), np.int8(-1))
-        assert type(letter.index) is int and type(letter.sign) is int
-        assert letter == GeneratorLetter(2, -1)
-        word = BraidWord(3, (letter, GeneratorLetter(1, True)))
+        for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64):
+            word = BraidWord(3, np.array([2, 1, 2], dtype))
+            assert word.codes.dtype == np.intp and codes_of(word) == [2, 1, 2]
+            assert all(type(c) is int for c in codes_of(word))
+            assert word.letters == ((2, 1), (1, 1), (2, 1))
+            assert all(type(x) is int for letter in word.letters for x in letter)
+        word = BraidWord(3, np.array([2, -1], np.int8))
+        assert word.letters[1].index == 1 and word.letters[1].sign == -1
         assert summarize_closure(word).exponent_sum == 0
         assert type(summarize_closure(word).exponent_sum) is int
 
+    def test_codes_are_copied_and_read_only(self):
+        given_codes = np.array([1, -2, 1])
+        word = BraidWord(3, given_codes)
+        given_codes[0] = 2
+        assert codes_of(word) == [1, -2, 1] and given_codes.flags.writeable
+        assert_codes(word)
+
+    def test_empty_word(self):
+        for empty in ((), [], np.array([], np.int8), np.array([])):
+            word = BraidWord(3, empty)
+            assert len(word) == 0 and word.letters == () and render_braid_word(word) == ""
+            assert word == identity_word(3) == BraidWord(3) == parse_braid_word("", 3)
+            assert_codes(word)
+
     def test_word_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 strands"):
             BraidWord(1, ())
-        with pytest.raises(ValueError):
-            BraidWord(2, (GeneratorLetter(2, 1),))
-        with pytest.raises(ValueError, match="GeneratorLetter items"):
-            BraidWord(3, [1, 2])
-        with pytest.raises(ValueError, match="GeneratorLetter items"):
-            BraidWord(3, (GeneratorLetter(1, 1), (2, -1)))
+        with pytest.raises(ValueError, match="out of range for 2 strands"):
+            BraidWord(2, [2])
+        for codes in ([True, False], [[1, 2]], [(1, 1), (2, -1)], np.ones((2, 2), int), 1, "s1"):
+            with pytest.raises(ValueError, match="1-D array of integers"):
+                BraidWord(3, codes)
+
+    def test_equal_codes_are_equal_words(self):
+        parsed = parse_braid_word("(s1 s2^-1)^3", 3)
+        assert parsed.powers
+        words = [BraidWord(3, [1, -2] * 3), BraidWord(3, np.array([1, -2] * 3, np.int8)), parsed]
+        for word in words:
+            assert word == words[0] and hash(word) == hash(words[0])
+        assert len(set(words)) == 1
+        assert BraidWord(3, [1, -2]) != BraidWord(4, [1, -2])
+        assert BraidWord(3, [1, -2]) != BraidWord(3, [1, 2])
+        assert BraidWord(3, [1]) != BraidWord(3, [1, 1])
+        assert BraidWord(3, [1]) != (1,)
 
 
 class TestCodes:
@@ -557,7 +588,7 @@ class TestCodes:
         for word in (w1, concat(w1, w2), inverse(w1), free_reduce(concat(w1, inverse(w2)))):
             assert_codes(word)
         assert_codes(dataclasses.replace(w1))
-        assert_codes(dataclasses.replace(w1, letters=w2.letters))
+        assert_codes(dataclasses.replace(w1, codes=w2.codes))
         assert_codes(identity_word(4))
 
     def test_copies_and_pickles_read_the_codes_again(self):
@@ -573,7 +604,7 @@ class TestCodes:
         again = dataclasses.replace(word)
         assert again.powers == () and again == word
         assert_codes(again)
-        assert_codes(dataclasses.replace(word, letters=word.letters[:3]))
+        assert_codes(dataclasses.replace(word, codes=word.codes[:3]))
 
 
 def swapped_images(word):
@@ -595,14 +626,10 @@ class TestPermutations:
         assert braids.word_images(word) == swapped_images(word)
 
     @pytest.mark.parametrize("n", [3, 6, 9])
-    def test_images_of_long_words_in_small_chunks(self, n, monkeypatch):
+    def test_images_of_long_words_in_small_chunks(self, n):
         rng = random.Random(n)
-        codes = [rng.randint(1, n - 1) * rng.choice([1, -1]) for _ in range(5000)]
-        word = word_of(n, codes)
-        expected = swapped_images(word)
-        assert braids.word_images(word) == expected
-        monkeypatch.setattr(braids, "PERMUTATION_CHUNK", 3 * n)  # three letters per chunk
-        assert braids.word_images(word_of(n, codes)) == expected
+        word = word_of(n, [rng.randint(1, n - 1) * rng.choice([1, -1]) for _ in range(5000)])
+        assert braids.word_images(word) == swapped_images(word)
 
     def test_image_of_single_letter(self):
         assert permutation_image(parse_braid_word("s1", 3)) == (2, 1, 3)

@@ -115,7 +115,7 @@ class TestNamedWordFilter:
     def test_runs_and_padding(self, text, name):
         word = parse_braid_word(text, 3)
         assert summarize_closure(word).named_match == name == named_by_reduction(word)
-        assert summarize_closure(BraidWord(3, word.letters)) == summarize_closure(word)
+        assert summarize_closure(BraidWord(3, word.codes)) == summarize_closure(word)
 
     @given(
         st.sampled_from(sorted(links._REGISTERED_WORDS)),

@@ -567,7 +567,7 @@ class TestPowerRuns:
         for rep in self.REPS:
             word = self.parsed(text, rep)
             product = evaluate(rep, word)
-            flat = evaluate(rep, BraidWord(rep.strands, word.letters))
+            flat = evaluate(rep, BraidWord(rep.strands, word.codes))
             assert np.max(np.abs(product - flat)) < 1e-12
             eye = np.eye(rep.dimension)
             assert np.linalg.norm(product @ product.conj().T - eye) <= 1e-10
@@ -577,7 +577,7 @@ class TestPowerRuns:
         for rep in self.REPS:
             word = self.parsed(text, rep)
             assert len(word) == SEGMENT
-            flat = BraidWord(rep.strands, word.letters)
+            flat = BraidWord(rep.strands, word.codes)
             assert evaluate(rep, word).tobytes() == evaluate(rep, flat).tobytes()
 
     def test_only_long_runs_are_powered(self, monkeypatch):
@@ -632,7 +632,7 @@ class TestFusedLetters:
         assert any(period * count > SEGMENT for _, period, count, _ in word.powers)
         self.check(u, word)
         rep = generic_rep(u, strands)
-        flat = evaluate(rep, BraidWord(strands, word.letters))
+        flat = evaluate(rep, BraidWord(strands, word.codes))
         assert np.max(np.abs(evaluate(rep, word) - flat)) < 1e-12
 
     @pytest.mark.parametrize("strands", [6, 8])
