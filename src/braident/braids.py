@@ -162,6 +162,16 @@ def _word_with_runs(strands: int, codes, powers: tuple) -> BraidWord:
     return word
 
 
+def _parsed_word(strands: int, codes: np.ndarray, powers: tuple = ()) -> BraidWord:
+    """The word on a fresh intp array whose codes the parser has range-checked;
+    the array is frozen in place and nothing is checked again."""
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "strands", strands)
+    object.__setattr__(word, "codes", _frozen(codes))
+    object.__setattr__(word, "powers", powers)
+    return word
+
+
 def identity_word(strands: int) -> BraidWord:
     return BraidWord(strands, ())
 
@@ -381,9 +391,9 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
     codes = _flat_codes(text, strands)
     if codes is not None and len(codes) <= MAX_WORD_LETTERS:
-        return BraidWord(strands, codes)
+        return _parsed_word(strands, codes)
     codes, runs, _ = _parse_sequence(_positioned(text), 0, 0, strands)
-    return _word_with_runs(strands, codes, tuple(runs))
+    return _parsed_word(strands, codes, tuple(runs))
 
 
 def render_braid_word(word: BraidWord) -> str:

@@ -3,8 +3,12 @@
 Implements the standard quantitative measures used to tell the two kinds of
 tripartite entanglement apart:
 
-* pure and mixed two-qubit concurrence (Wootters),
-* von Neumann entropy of reductions (base 2),
+* pure and mixed two-qubit concurrence (Wootters); a pair reduction of a
+  three-qubit pure state has rank at most 2 and is read from its factor as
+  the singular-value gap of a symmetric 2x2 matrix, every other matrix
+  through sqrt(rho) and an SVD,
+* von Neumann entropy of reductions (base 2), in closed form for one qubit
+  and by a Hermitian eigensolve above that,
 * Schmidt coefficients across any bipartition,
 * the three-tangle (four times the modulus of Cayley's 2x2x2
   hyperdeterminant, the discriminant of det(x A0 + y A1) for the two
@@ -20,6 +24,7 @@ measurements always leave a Bell pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +76,37 @@ def concurrence_mixed2(dm: DensityMatrix) -> float:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit density matrix.
 
     The l_i are the decreasing square roots of the eigenvalues of
-    rho (Y(x)Y) conj(rho) (Y(x)Y).  They are computed as the singular values
-    of K = sqrt(rho) (Y(x)Y) conj(sqrt(rho)), since K K^dag is the Hermitian
+    rho (Y(x)Y) conj(rho) (Y(x)Y).  A matrix with a factor of at most two
+    columns v_j (every pair reduction of a three-qubit pure state) has at
+    most two nonzero l_i, the singular values s1 >= s2 of the symmetric
+    2x2 matrix tau_ij = v_i^T (Y(x)Y) v_j (Wootters, quant-ph/9709029), and
+    C = s1 - s2 is read as (s1^2 - s2^2) / (s1 + s2): the numerator is the
+    eigenvalue gap of tau^dag tau and the denominator is
+    sqrt(|tau|_F^2 + 2 |det tau|), so no difference of close numbers is
+    taken.  One column is a pure state, 2 |det| of its amplitudes.
+
+    Any other matrix takes the l_i as the singular values of
+    K = sqrt(rho) (Y(x)Y) conj(sqrt(rho)), since K K^dag is the Hermitian
     similarity form sqrt(rho) (Y(x)Y) conj(rho) (Y(x)Y) sqrt(rho); taking
     singular values directly avoids the sqrt-of-eigenvalue precision loss
     near zero.
     """
     if dm.qubits != 2:
         raise ValueError(f"expected a 2-qubit density matrix, got {dm.qubits} qubits")
+    factor = dm._factor
+    if factor is not None and factor.shape[1] == 1:
+        return _concurrence(factor[:, 0])
+    if factor is not None and factor.shape[1] == 2:
+        (v00, w00), (v01, w01), (v10, w10), (v11, w11) = factor.tolist()
+        t00 = 2.0 * (v01 * v10 - v00 * v11)
+        t11 = 2.0 * (w01 * w10 - w00 * w11)
+        t01 = v01 * w10 + v10 * w01 - v00 * w11 - v11 * w00
+        n00, n01, n11 = abs(t00) ** 2, abs(t01) ** 2, abs(t11) ** 2
+        h01 = t00.conjugate() * t01 + t01.conjugate() * t11
+        total = math.sqrt(n00 + 2.0 * n01 + n11 + 2.0 * abs(t00 * t11 - t01 * t01))
+        if total == 0.0:
+            return 0.0
+        return math.sqrt((n00 - n11) ** 2 + 4.0 * abs(h01) ** 2) / total
     root = _sqrt_psd(dm.matrix)
     k = root @ _YY @ root.conj()
     lam = np.linalg.svd(k, compute_uv=False)
@@ -86,10 +114,21 @@ def concurrence_mixed2(dm: DensityMatrix) -> float:
 
 
 def vn_entropy(dm: DensityMatrix) -> float:
-    """Von Neumann entropy in bits; eigenvalues below 1e-14 count as exact zeros."""
-    values = np.linalg.eigvalsh(dm.matrix)
-    values = values[values > _EIG_FLOOR]
-    return max(0.0, float(-np.sum(values * np.log2(values))))
+    """Von Neumann entropy in bits; eigenvalues below 1e-14 count as exact zeros.
+
+    A one-qubit matrix [[a, b], [b*, d]] has eigenvalues (t +- s) / 2 with
+    t = a + d and s = sqrt((a - d)^2 + 4 |b|^2); the smaller one is read as
+    2 det / (t + s), which keeps its digits when it is near zero.  Larger
+    matrices take a Hermitian eigensolve.
+    """
+    if dm.matrix.shape == (2, 2):
+        (a, b), (_, d) = dm.matrix.tolist()
+        a, d = a.real, d.real
+        s = math.sqrt((a - d) ** 2 + 4.0 * abs(b) ** 2)
+        values = [2.0 * (a * d - abs(b) ** 2) / (a + d + s), (a + d + s) / 2.0]
+    else:
+        values = np.linalg.eigvalsh(dm.matrix).tolist()
+    return max(0.0, -sum(v * math.log2(v) for v in values if v > _EIG_FLOOR))
 
 
 def schmidt_coefficients(state: PureState, left) -> np.ndarray:

@@ -61,14 +61,17 @@ class DensityMatrix:
 
     ``density`` builds the projector of a pure state, positive semidefinite
     by construction, without these checks, and ``partial_trace`` reduces such
-    a projector without them too; ``_from_projector`` marks both.  Every other
-    matrix, and every reduction of one, goes through the checks.  The mark
-    takes no part in repr.  Density matrices compare by identity.
+    a projector without them too.  Both keep a factor: ``_factor`` is the
+    read-only d x r array F with matrix = F F^dag, a column for the pure
+    state and one more per basis state traced out.  The measures read F in
+    place of the matrix where it is short.  Every other matrix, and every
+    reduction of one, goes through the checks and has ``_factor`` None.
+    The factor takes no part in repr.  Density matrices compare by identity.
     """
 
     qubits: int
     matrix: np.ndarray
-    _from_projector: bool = field(init=False, default=False, compare=False, repr=False)
+    _factor: np.ndarray | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.qubits < 1:
@@ -181,30 +184,32 @@ def measure_qubit(state: PureState, k: int, outcome: int) -> MeasurementOutcome:
 
 
 def density(state: PureState) -> DensityMatrix:
-    """Rank-one projector |psi><psi| / <psi|psi>, in O(d^2).
+    """Rank-one projector |psi><psi| / <psi|psi>, in O(d^2), with factor psi.
 
     ``PureState`` already checked psi, and psi psi^dag is Hermitian and
     positive semidefinite by construction, so none of the constructor's
     checks is repeated.  A norm within NORM_TOL of 1 can still leave
     <psi|psi> = tr(psi psi^dag) off 1 by more than NORM_TOL; only then is
-    the outer product divided by its trace.  The result is marked
-    ``_from_projector``, so ``partial_trace`` skips the checks on its
+    the outer product divided by its trace, and the factor by its square
+    root.  The factor lets ``partial_trace`` skip the checks on its
     reductions as well.
     """
     a = state.amplitudes
     m = np.outer(a, a.conj())
+    factor = a.reshape(-1, 1)
     trace = np.trace(m).real
     if abs(trace - 1.0) > NORM_TOL:
         m /= trace
-    return _projector_density(state.qubits, m)
+        factor = factor / np.sqrt(trace)
+    return _projector_density(state.qubits, m, factor)
 
 
-def _projector_density(qubits: int, m: np.ndarray) -> DensityMatrix:
-    """A ``_from_projector`` DensityMatrix on ``m``, without the constructor's checks."""
+def _projector_density(qubits: int, m: np.ndarray, factor: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix on ``m`` = factor factor^dag, without the constructor's checks."""
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "qubits", qubits)
     object.__setattr__(rho, "matrix", _freeze(m))
-    object.__setattr__(rho, "_from_projector", True)
+    object.__setattr__(rho, "_factor", _freeze(factor))
     return rho
 
 
@@ -231,22 +236,27 @@ def _qubit_subset(labels, n: int, name: str, proper: bool = False) -> list[int]:
 def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept qubits (ascending original order).
 
-    The reduction of a ``_from_projector`` matrix is marked too and skips the
-    constructor's checks: each entry of psi psi^dag is the exact complex
-    conjugate of its transpose in IEEE arithmetic, so every partial sum of
-    them is exactly Hermitian, and a partial trace keeps the unit trace and
-    positivity.  Any other matrix's reduction is checked in full, since
-    rounding can grow its Hermitian gap under the trace.
+    A matrix with a factor F (``density`` and its reductions) is reduced
+    through F: with F's tensor reshaped to kept x (traced * columns), the
+    reduction is F_k F_k^dag, and F_k is its factor.  It skips the
+    constructor's checks: F_k F_k^dag is positive semidefinite by
+    construction, Hermitian within rounding, and its trace is the squared
+    norm of F, which ``density`` put at 1.  Any other matrix is reduced by
+    summing its 2n-index tensor over the traced qubits and checked in full,
+    since rounding can grow its Hermitian gap under the trace.
     """
     n = dm.qubits
     kept = _qubit_subset(keep, n, "keep")
+    dim = 2 ** len(kept)
+    if dm._factor is not None:
+        traced = [q - 1 for q in range(1, n + 1) if q not in kept]
+        tensor = dm._factor.reshape([2] * n + [-1])
+        f = tensor.transpose([q - 1 for q in kept] + traced + [n]).reshape(dim, -1)
+        return _projector_density(len(kept), f @ f.conj().T, f)
     # einsum labels: qubit i + 1 has row axis i and column axis n + i, or i if traced out
     labels = [*range(n)] + [n + i if i + 1 in kept else i for i in range(n)]
     out = [q - 1 for q in kept] + [n + q - 1 for q in kept]
-    dim = 2 ** len(kept)
     reduced = np.einsum(dm.matrix.reshape([2] * (2 * n)), labels, out).reshape(dim, dim)
-    if dm._from_projector:
-        return _projector_density(len(kept), reduced)
     return DensityMatrix(len(kept), reduced)
 
 

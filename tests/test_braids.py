@@ -243,6 +243,7 @@ def outcome(parse, text, strands):
         word = parse(text, strands)
     except WordSyntaxError as err:
         return "error", str(err), err.position
+    assert_codes(word)
     return "word", codes_of(word), word.powers
 
 
@@ -251,7 +252,12 @@ LONG_PREFIX = "s1 s2^-1 " * 100
 
 
 def assert_codes(word):
-    """``word.codes`` is a read-only intp array, and ``word.letters`` its view."""
+    """``word.codes`` is a read-only intp array, ``word.letters`` its view, and
+    the checking constructor takes the codes to an equal word.
+
+    The parser builds its words without ``BraidWord``'s checks, so the last
+    part proves it hands over only codes that pass them."""
+    assert word == BraidWord(word.strands, word.codes)
     codes = word.codes
     assert codes.dtype == np.intp and codes.shape == (len(word),)
     assert [letter.index * letter.sign for letter in word.letters] == codes.tolist()

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from braident.entanglement import (
     vn_entropy,
 )
 from braident.linalg import haar_unitary
-from braident.reps import evaluate, ge_rep
+from braident.reps import evaluate, ge_rep, jones_rep
 from braident.states import (
+    DensityMatrix,
     ImpossibleOutcomeError,
     PureState,
     apply,
@@ -67,6 +70,38 @@ def profile_test_states():
     return states
 
 
+def closed_form_states():
+    """States whose pair reductions take the rank-2 concurrence form.
+
+    Haar states, local-unitary images of GHZ and phi, images of basis states
+    under short ge and jones words, and edge states: basis and product
+    states, a Bell pair beside a qubit on either side, and W.
+    """
+    rng = np.random.default_rng(97)
+    states = [random_state(rng, 3) for _ in range(200)]
+    for name in ("ghz", "phi"):
+        for _ in range(100):
+            states.append(apply_local(named_state(name), [haar_unitary(2, rng) for _ in range(3)]))
+    words = ["s1", "s2^-1", "s1 s2", "s1 s2^-1 s1", "(s1 s2)^3 s2^-2", "s2 s1^-1 s2 s1 s1"]
+    for rep, text, bits in itertools.product(
+        (ge_rep(), jones_rep()), words, ("000", "011", "101", "110")
+    ):
+        states.append(apply(evaluate(rep, parse_braid_word(text, 3)), basis_state(bits)))
+    states += [basis_state(format(i, "03b")) for i in range(8)]
+    for _ in range(20):
+        states.append(apply_local(basis_state("000"), [haar_unitary(2, rng) for _ in range(3)]))
+    bell = named_state("bell").amplitudes
+    qubit = haar_unitary(2, rng)[:, 0]
+    states += [PureState(3, np.kron(bell, qubit)), PureState(3, np.kron(qubit, bell)), w_state()]
+    return states
+
+
+def eigvalsh_entropy(matrix):
+    values = np.linalg.eigvalsh(matrix)
+    values = values[values > 1e-14]
+    return max(0.0, float(-np.sum(values * np.log2(values))))
+
+
 def residual_tangle_oracle(state, focus=1):
     """Three-tangle via tangle minus squared pairwise concurrences.
 
@@ -78,8 +113,9 @@ def residual_tangle_oracle(state, focus=1):
     rho_a = partial_trace(rho, {focus}).matrix
     tangle_a_bc = 4.0 * np.linalg.det(rho_a).real
     b, c = (q for q in (1, 2, 3) if q != focus)
-    c_ab = concurrence_mixed2(partial_trace(rho, {focus, b}))
-    c_ac = concurrence_mixed2(partial_trace(rho, {focus, c}))
+    reduced_ab, reduced_ac = partial_trace(rho, {focus, b}), partial_trace(rho, {focus, c})
+    assert reduced_ab._factor.shape == reduced_ac._factor.shape == (4, 2)
+    c_ab, c_ac = concurrence_mixed2(reduced_ab), concurrence_mixed2(reduced_ac)
     return tangle_a_bc - c_ab**2 - c_ac**2
 
 
@@ -178,11 +214,60 @@ class TestMixedConcurrence:
 
         yy = np.array([[0, -1j], [1j, 0]])
         YY = np.kron(yy, yy)
+        # the bitwise pin is on the direct path; the factored value agrees with it
         for state in profile_test_states():
             rho = density(state)
             for pair in ({1, 2}, {1, 3}, {2, 3}):
                 reduced = partial_trace(rho, pair)
-                assert concurrence_mixed2(reduced) == reference(reduced)
+                direct = DensityMatrix(2, reduced.matrix)
+                assert concurrence_mixed2(direct) == reference(direct)
+                assert abs(concurrence_mixed2(reduced) - reference(direct)) <= 2e-14
+
+
+class TestClosedForms:
+    def test_pair_concurrence_matches_the_lapack_path(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in closed_form_states():
+                rho = density(state)
+                for pair in ({1, 2}, {1, 3}, {2, 3}):
+                    reduced = partial_trace(rho, pair)
+                    assert reduced._factor.shape == (4, 2)
+                    # the same matrix without its factor takes sqrt(rho) and an SVD
+                    lapack = concurrence_mixed2(DensityMatrix(2, reduced.matrix))
+                    assert abs(concurrence_mixed2(reduced) - lapack) <= 2e-14
+
+    def test_edge_state_values(self):
+        bell = named_state("bell").amplitudes
+        states = {
+            "basis": (basis_state("010"), (0.0, 0.0, 0.0)),
+            "bell-qubit": (PureState(3, np.kron(bell, [1.0, 0.0])), (1.0, 0.0, 0.0)),
+            "qubit-bell": (PureState(3, np.kron([0.0, 1.0], bell)), (0.0, 0.0, 1.0)),
+            "w": (w_state(), (2.0 / 3.0,) * 3),
+        }
+        for state, expected in states.values():
+            rho = density(state)
+            values = [concurrence_mixed2(partial_trace(rho, p)) for p in ({1, 2}, {1, 3}, {2, 3})]
+            assert values == pytest.approx(expected, abs=1e-15)
+        # a one-column factor is a pure pair, read as 2 |det| of its amplitudes
+        bell_state = named_state("bell")
+        assert concurrence_mixed2(density(bell_state)) == concurrence_pure2(bell_state)
+
+    def test_one_qubit_entropy_matches_eigvalsh(self):
+        rng = np.random.default_rng(101)
+        matrices = []
+        for _ in range(300):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            mixed = g @ g.conj().T
+            matrices.append(mixed / np.trace(mixed).real)
+            psi = g[:, 0] / np.linalg.norm(g[:, 0])
+            matrices.append(np.outer(psi, psi.conj()))
+        for state in closed_form_states():
+            matrices += [partial_trace(density(state), {q}).matrix for q in (1, 2, 3)]
+        for matrix in matrices:
+            value = vn_entropy(DensityMatrix(1, matrix))
+            assert value >= 0.0
+            assert abs(value - eigvalsh_entropy(matrix)) <= 1e-14
 
 
 class TestEntropy:
@@ -264,7 +349,8 @@ class TestThreeTangle:
             assert three_tangle(state) == cayley_tangle(state)
 
     def test_ckw_identity_for_every_focus_qubit(self):
-        for state in tangle_test_states():
+        # the oracle's pair concurrences take the rank-2 form of the factor
+        for state in tangle_test_states() + closed_form_states():
             tangle = three_tangle(state)
             for focus in (1, 2, 3):
                 assert abs(tangle - residual_tangle_oracle(state, focus)) <= 1e-13

@@ -40,6 +40,13 @@ def keep_sets(qubits):
     ]
 
 
+def assert_factored(dm):
+    """A factored matrix passes the checking constructor, and it and its factor are read-only."""
+    DensityMatrix(dm.qubits, dm.matrix)
+    assert dm._factor.shape[0] == 2**dm.qubits
+    assert not dm.matrix.flags.writeable and not dm._factor.flags.writeable
+
+
 class TestConstruction:
     def test_basis_states(self):
         assert basis_state("00").amplitudes[0] == 1.0
@@ -242,6 +249,8 @@ class TestDensityAndPartialTrace:
             rho = density(state)
             a = state.amplitudes
             assert rho.matrix.tobytes() == np.outer(a, a.conj()).tobytes()
+            assert rho._factor.tobytes() == a.tobytes() and rho._factor.shape == (2**qubits, 1)
+            assert_factored(rho)
             assert DensityMatrix(qubits, rho.matrix).matrix.tobytes() == rho.matrix.tobytes()
             assert not rho.matrix.flags.writeable
 
@@ -255,6 +264,7 @@ class TestDensityAndPartialTrace:
         DensityMatrix(3, rho.matrix)
         expected = np.outer(amps, amps.conj()) / np.vdot(amps, amps).real
         assert np.max(np.abs(rho.matrix - expected)) <= 1e-16
+        assert np.max(np.abs(rho._factor @ rho._factor.conj().T - expected)) <= 1e-16
 
     def test_sequential_contraction_consistency(self):
         rng = np.random.default_rng(37)
@@ -266,8 +276,9 @@ class TestDensityAndPartialTrace:
 
     @pytest.mark.parametrize("qubits", range(1, 7))
     def test_projector_reductions_are_valid_and_match_the_checked_path(self, qubits):
-        # reductions of density(psi) skip the constructor's checks; the
-        # constructor accepts them, and they equal the checked path's bit for bit
+        # reductions of density(psi) go through its factor and skip the
+        # constructor's checks; the constructor accepts them, they are
+        # read-only, and they equal the checked einsum path within one rounding
         rng = np.random.default_rng(60 + qubits)
         for _ in range(2):
             rho = density(random_state(rng, qubits))
@@ -275,16 +286,15 @@ class TestDensityAndPartialTrace:
             for keep in keep_sets(qubits):
                 reduced = partial_trace(rho, keep)
                 reduced_checked = partial_trace(checked, keep)
-                assert reduced._from_projector and not reduced_checked._from_projector
-                assert np.array_equal(reduced.matrix, reduced_checked.matrix)
-                DensityMatrix(reduced.qubits, reduced.matrix)
-                assert not reduced.matrix.flags.writeable
+                assert reduced._factor is not None and reduced_checked._factor is None
+                assert_factored(reduced)
+                assert np.max(np.abs(reduced.matrix - reduced_checked.matrix)) <= 1e-15
                 for inner in keep_sets(reduced.qubits):
                     chained = partial_trace(reduced, inner)
                     chained_checked = partial_trace(reduced_checked, inner)
-                    assert chained._from_projector
-                    assert np.array_equal(chained.matrix, chained_checked.matrix)
-                    DensityMatrix(chained.qubits, chained.matrix)
+                    assert chained._factor is not None
+                    assert_factored(chained)
+                    assert np.max(np.abs(chained.matrix - chained_checked.matrix)) <= 1e-15
 
     def test_direct_matrix_reductions_keep_their_checks(self):
         # the Hermitian gap, 8.5e-11, is inside NORM_TOL; tracing out qubits 2
@@ -292,7 +302,7 @@ class TestDensityAndPartialTrace:
         off_diagonal = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(4))
         matrix = density(named_state("ghz")).matrix + 3e-11 * off_diagonal
         direct = DensityMatrix(3, matrix)
-        assert not direct._from_projector
+        assert direct._factor is None
         with pytest.raises(ValueError, match="not Hermitian"):
             partial_trace(direct, {1})
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -300,11 +310,12 @@ class TestDensityAndPartialTrace:
         assert partial_trace(direct, {2, 3}).matrix.shape == (4, 4)
 
     def test_projector_mark_is_outside_comparison_and_repr(self):
-        mark = {f.name: f for f in dataclasses.fields(DensityMatrix)}["_from_projector"]
+        mark = {f.name: f for f in dataclasses.fields(DensityMatrix)}["_factor"]
         assert (mark.init, mark.compare, mark.repr) == (False, False, False)
         rho = density(named_state("phi"))
         for derived in (rho, partial_trace(rho, {1, 3}), partial_trace(rho, {2})):
             direct = DensityMatrix(derived.qubits, derived.matrix)
+            assert direct._factor is None
             assert repr(derived) == repr(direct)
             assert derived.matrix.tobytes() == direct.matrix.tobytes()
 
