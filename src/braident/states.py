@@ -62,11 +62,12 @@ class DensityMatrix:
     ``density`` builds the projector of a pure state, positive semidefinite
     by construction, without these checks, and ``partial_trace`` reduces such
     a projector without them too.  Both keep a factor: ``_factor`` is the
-    read-only d x r array F with matrix = F F^dag, a column for the pure
-    state and one more per basis state traced out.  The measures read F in
-    place of the matrix where it is short.  Every other matrix, and every
-    reduction of one, goes through the checks and has ``_factor`` None.
-    The factor takes no part in repr.  Density matrices compare by identity.
+    read-only d x r array F with matrix = F F^dag: the pure state as one
+    column, and in a reduction one column per basis state of the qubits
+    traced out.  The measures read F in place of the matrix where it is
+    narrow.  Every other matrix, and every reduction of one, goes through
+    the checks and has ``_factor`` None.  The factor takes no part in repr.
+    Density matrices compare by identity.
     """
 
     qubits: int

@@ -252,7 +252,6 @@ class TestDensityAndPartialTrace:
             assert rho._factor.tobytes() == a.tobytes() and rho._factor.shape == (2**qubits, 1)
             assert_factored(rho)
             assert DensityMatrix(qubits, rho.matrix).matrix.tobytes() == rho.matrix.tobytes()
-            assert not rho.matrix.flags.writeable
 
     def test_density_of_a_state_at_the_norm_tolerance(self):
         # |psi| = 1 + 0.9e-10 is a valid PureState, but tr(psi psi^dag) = 1 + 1.8e-10
