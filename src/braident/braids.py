@@ -2,7 +2,8 @@
 
 A braid word over a fixed strand count is its codes: one read-only array of
 signed generator indices, ``BraidWord.codes``, +i for s_i and -i for s_i^-1.
-Construction checks the whole array in one vectorised pass, and every layer
+Construction checks the whole array, a short one in a Python loop and a long
+one by numpy reductions (``CHECK_LOOP_CODES``), and every layer
 (evaluation, the closure bookkeeping, the renderers) reads that array.
 ``BraidWord.letters`` is a view derived from it on request, (index, sign)
 pairs, kept for the benchmark oracle (``perfbench/oracle.py``), which reads
@@ -72,6 +73,11 @@ SCAN_CHARS = 750
 # swaps the points one letter at a time.
 TABLE_POINTS = 5
 
+# BraidWord checks the range of at most this many codes in one Python pass and
+# of more by three numpy reductions, which cost about 6 us however short the
+# array is.  The two met at 64-96 codes in timings of both.
+CHECK_LOOP_CODES = 64
+
 
 class WordSyntaxError(ValueError):
     """Malformed braid word text; carries the offending character position."""
@@ -119,8 +125,11 @@ class BraidWord:
             got = reprlib.repr(self.codes)
             raise ValueError(f"braid word codes must be a 1-D array of integers, got {got}")
         top = self.strands - 1
-        if len(codes) and not (-top <= codes.min() and codes.max() <= top and codes.all()):
-            bad = next(c for c in codes.tolist() if not 0 < abs(c) <= top)
+        if len(codes) > CHECK_LOOP_CODES and -top <= codes.min() and codes.max() <= top and codes.all():
+            bad = None
+        else:
+            bad = next((c for c in codes.tolist() if not 0 < abs(c) <= top), None)
+        if bad is not None:
             raise ValueError(
                 f"generator code {bad} out of range for {self.strands} strands "
                 f"(nonzero, |code| <= {top})"
@@ -158,16 +167,6 @@ class BraidWord:
 def _word_with_runs(strands: int, codes, powers: tuple) -> BraidWord:
     """The word with these codes and power runs."""
     word = BraidWord(strands, codes)
-    object.__setattr__(word, "powers", powers)
-    return word
-
-
-def _parsed_word(strands: int, codes: np.ndarray, powers: tuple = ()) -> BraidWord:
-    """The word on a fresh intp array whose codes the parser has range-checked;
-    the array is frozen in place and nothing is checked again."""
-    word = object.__new__(BraidWord)
-    object.__setattr__(word, "strands", strands)
-    object.__setattr__(word, "codes", _frozen(codes))
     object.__setattr__(word, "powers", powers)
     return word
 
@@ -391,9 +390,9 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
     codes = _flat_codes(text, strands)
     if codes is not None and len(codes) <= MAX_WORD_LETTERS:
-        return _parsed_word(strands, codes)
+        return BraidWord(strands, codes)
     codes, runs, _ = _parse_sequence(_positioned(text), 0, 0, strands)
-    return _parsed_word(strands, codes, tuple(runs))
+    return _word_with_runs(strands, codes, tuple(runs))
 
 
 def render_braid_word(word: BraidWord) -> str:

@@ -93,7 +93,7 @@ def concurrence_mixed2(dm: DensityMatrix) -> float:
     """
     if dm.qubits != 2:
         raise ValueError(f"expected a 2-qubit density matrix, got {dm.qubits} qubits")
-    factor = dm._factor
+    factor = dm._factor  # rows 00, 01, 10, 11, as DensityMatrix lays it out
     if factor is not None and factor.shape[1] == 1:
         return _concurrence(factor[:, 0])
     if factor is not None and factor.shape[1] == 2:

@@ -6,11 +6,7 @@ and writes its stdout to ``<id>.<format>.out`` and its exit code and stderr
 (the ``error:`` and ``warning:`` lines) back into ``cases.json``.  Run it only
 on a tree whose output is known to be right:
 
-    PYTHONPATH=src python tests/golden/capture.py [CASE_ID ...]
-
-With case ids it rewrites only those cases' files and ``cases.json``
-entries, so a change meant to alter one output leaves every other golden
-byte-identical.
+    PYTHONPATH=src python tests/golden/capture.py
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 from braident.cli import main
@@ -34,14 +29,9 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def capture(case_ids: list[str]) -> None:
+def capture() -> None:
     cases = json.loads((HERE / "cases.json").read_text(encoding="utf-8"))
-    unknown = set(case_ids) - cases.keys()
-    if unknown:
-        raise SystemExit(f"unknown case ids: {', '.join(sorted(unknown))}")
     for case_id, case in cases.items():
-        if case_ids and case_id not in case_ids:
-            continue
         case["exit"], case["stderr"] = {}, {}
         for fmt in FORMATS:
             code, stdout, stderr = run(case["argv"] + ["--format", fmt])
@@ -53,4 +43,4 @@ def capture(case_ids: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    capture(sys.argv[1:])
+    capture()
