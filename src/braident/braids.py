@@ -125,7 +125,8 @@ class BraidWord:
             got = reprlib.repr(self.codes)
             raise ValueError(f"braid word codes must be a 1-D array of integers, got {got}")
         top = self.strands - 1
-        if len(codes) > CHECK_LOOP_CODES and -top <= codes.min() and codes.max() <= top and codes.all():
+        long = len(codes) > CHECK_LOOP_CODES
+        if long and -top <= codes.min() and codes.max() <= top and codes.all():
             bad = None
         else:
             bad = next((c for c in codes.tolist() if not 0 < abs(c) <= top), None)

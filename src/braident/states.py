@@ -62,9 +62,9 @@ class DensityMatrix:
     ``density`` builds the projector of a pure state, positive semidefinite
     by construction, without these checks, and ``partial_trace`` reduces such
     a projector without them too.  Both keep a factor, ``_factor``, and
-    these two functions are the only ones that build it.  Its layout is what
-    the measures in ``entanglement`` read in place of the matrix: the
-    read-only d x r array F with matrix = F F^dag, whose rows are indexed as
+    these two functions are the only ones that build it.  Its layout is the
+    contract the measures in ``entanglement`` read in place of the matrix:
+    the read-only d x r array F with matrix = F F^dag, whose rows are indexed as
     the matrix's are (qubit 1 the most significant bit, so 00, 01, 10, 11 on
     two qubits), and whose columns are the pure state itself or, in a
     reduction, one per basis state of the qubits traced out (two for a pair

@@ -511,7 +511,8 @@ class TestWordAlgebra:
     @pytest.mark.parametrize("length", [braids.CHECK_LOOP_CODES, braids.CHECK_LOOP_CODES + 1])
     def test_letter_validation_on_both_sides_of_the_loop_length(self, length):
         # up to CHECK_LOOP_CODES codes are checked in a Python loop, more by numpy
-        for valid, dtype, bads in (([1, -2], np.intp, (0, 3, -3)), ([1, 2], np.uint64, (0, 3, 2**63))):
+        signed, unsigned = ([1, -2], np.intp, (0, 3, -3)), ([1, 2], np.uint64, (0, 3, 2**63))
+        for valid, dtype, bads in (signed, unsigned):
             valid = (valid * length)[:length]
             assert codes_of(BraidWord(3, np.array(valid, dtype))) == valid
             for bad in bads:
