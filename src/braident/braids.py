@@ -35,17 +35,17 @@ Words map onto the symmetric group by sending every letter, regardless of
 sign, to the adjacent transposition swapping its index with the next point.
 The image is a plain tuple: entry x-1 is the end position of the strand that
 starts at position x, with letters acting in word order.  Cycle counting of
-that image gives the number of components of the word's closure.  The image
-reduces the letters' transpositions in a symmetric group's Cayley table, and
-the signed letter count per generator (the image in the free group's
-abelianization) counts the codes.  Both are taken over the power runs: a run
-costs its first period plus a permutation power.
+that image gives the number of components of the word's closure.  This
+image and the unitary images of ``reps`` are finite groups, each built by
+``finite_group`` from its letters' matrices; ``group_element`` reads a word in
+one over its power runs (a run costs its first period), with its letter
+counts (the image in the free group's abelianization).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import operator
 import re
 import reprlib
 from dataclasses import dataclass, field
@@ -68,9 +68,9 @@ MAX_NUMBER_DIGITS = 100
 # alternating timings.
 SCAN_CHARS = 750
 
-# word_images reduces a stretch of letters on at most TABLE_POINTS points in the
-# Cayley table of the symmetric group (120 elements at 5 points); on more it
-# swaps the points one letter at a time.
+# word_images reads a word on at most TABLE_POINTS strands in the Cayley table
+# of the symmetric group (120 elements at 5 points); on more it swaps the
+# points one letter at a time.
 TABLE_POINTS = 5
 
 # BraidWord checks the range of at most this many codes in one Python pass and
@@ -118,8 +118,7 @@ class BraidWord:
     powers: tuple[tuple[int, int, int, tuple], ...] = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
-        if self.strands < 2:
-            raise ValueError(f"a braid group needs at least 2 strands, got {self.strands}")
+        object.__setattr__(self, "strands", strand_count(self.strands))
         codes = np.asarray(self.codes)
         if codes.ndim != 1 or (len(codes) and codes.dtype.kind not in "iu"):
             got = reprlib.repr(self.codes)
@@ -163,6 +162,17 @@ class BraidWord:
 
     def __str__(self) -> str:
         return render_braid_word(self)
+
+
+def strand_count(strands) -> int:
+    """The strand count as an int: any integer (``operator.index``) of at least 2."""
+    try:
+        strands = operator.index(strands)
+    except TypeError:
+        raise ValueError(f"strand count must be an integer, got {strands!r}") from None
+    if strands < 2:
+        raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
+    return strands
 
 
 def _word_with_runs(strands: int, codes, powers: tuple) -> BraidWord:
@@ -384,11 +394,11 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     ``^k`` tokens wrote.  Raises WordSyntaxError with the character position
     for malformed text, for generator indices that exceed strands - 1, for
     groups nested deeper than MAX_NESTING_DEPTH and for words that expand
-    past MAX_WORD_LETTERS letters.  The empty string parses to the identity
+    past MAX_WORD_LETTERS letters, and ValueError for a strand count that is
+    not an integer of at least 2.  The empty string parses to the identity
     word.
     """
-    if strands < 2:
-        raise ValueError(f"a braid group needs at least 2 strands, got {strands}")
+    strands = strand_count(strands)
     codes = _flat_codes(text, strands)
     if codes is not None and len(codes) <= MAX_WORD_LETTERS:
         return BraidWord(strands, codes)
@@ -434,17 +444,6 @@ def free_reduce(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, free_reduce_codes(word.codes.tolist()))
 
 
-def _permutation_power(moved: np.ndarray, count: int) -> np.ndarray:
-    """``moved`` composed with itself ``count`` times, by repeated squaring."""
-    out = np.arange(len(moved))
-    while count:
-        if count & 1:
-            out = moved[out]  # powers of one permutation commute
-        moved = moved[moved]
-        count >>= 1
-    return out
-
-
 def table_product(table: np.ndarray, ids: np.ndarray) -> int:
     """The product, in order, of group elements given by their ids in a Cayley
     table (``table[g, h]`` is g h), reduced pairwise; the identity, id 0, when
@@ -454,80 +453,84 @@ def table_product(table: np.ndarray, ids: np.ndarray) -> int:
     return int(ids[0]) if len(ids) else 0
 
 
-def _swaps(codes: np.ndarray, points: int) -> np.ndarray:
-    """One ``moved`` row per nonzero code c: |c| - 1 and |c| swapped on ``points`` points."""
-    rows = np.tile(np.arange(points), (len(codes), 1))
-    r, i = np.arange(len(codes)), np.abs(codes)
-    rows[r, i - 1], rows[r, i] = i, i - 1
-    return rows
+def finite_group(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The group made by the images of the signed letters 1..n-1, 1-n..-1: its
+    elements (identity first), Cayley table (``table[g, h]`` is g h) and the
+    element of each signed letter c at index c.  Each breadth-first layer is one matmul;
+    the column of h = p l, p its parent, is p's column times l."""
+
+    def keys_of(a: np.ndarray) -> np.ndarray:  # quarters: finer than the 0.5 between elements
+        return np.rint(4 * a.view(float)).astype(np.int8)
+
+    elements, parents, right = [np.eye(images.shape[-1], dtype=images.dtype)], [], []
+    keys = {keys_of(elements[0]).tobytes(): 0}
+    while len(right) < len(elements):  # one breadth-first layer per pass
+        layer = np.matmul(np.stack(elements[len(right) :])[:, None], images)
+        for row, row_keys in zip(layer, keys_of(layer)):
+            right.append([keys.setdefault(key.tobytes(), len(keys)) for key in row_keys])
+            for j, h in enumerate(right[-1]):
+                if h == len(elements):
+                    elements.append(row[j])
+                    parents.append((len(right) - 1, j))
+    right = np.array(right)
+    table = np.empty((len(elements),) * 2, dtype=np.min_scalar_type(len(elements)))
+    table[:, 0] = np.arange(len(elements))
+    for h, (p, j) in enumerate(parents, start=1):
+        table[:, h] = right[table[:, p], j]
+    letters = np.concatenate(([0], right[0]))  # a negative code counts from the end
+    return _frozen(np.stack(elements)), _frozen(table), _frozen(letters)
+
+
+def group_element(codes, runs, lo: int, hi: int, group, strands: int) -> tuple[int, np.ndarray]:
+    """The ``finite_group`` element of codes[lo:hi] and the count of each code c
+    in it, at index c + strands.
+
+    ``runs`` are the power runs of the span, with starts relative to ``lo``.
+    A stretch of plain letters is one gather of letter ids and one bincount;
+    a run is its period's element repeated count % order times (Lagrange).
+    """
+    _, table, letters = group
+    ids, counts, at = [], np.zeros(2 * strands, np.intp), lo
+    for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
+        start += lo
+        if at < start:
+            stretch = codes[at:start]
+            ids.append(letters[stretch])
+            counts += np.bincount(stretch + strands, minlength=2 * strands)
+        if count:
+            g, run_counts = group_element(codes, inner, start, start + period, group, strands)
+            ids.append(np.full(count % len(table), g))
+            counts += count * run_counts
+        at = start + period * count
+    return (table_product(table, np.concatenate(ids)) if ids else 0), counts
 
 
 @functools.lru_cache(maxsize=TABLE_POINTS)
 def _symmetric_group(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S_points as ``moved`` arrays: its elements (identity first), its Cayley table
-    (g h is g[h], g's letters first) and at index i the element that swaps
-    points i-1 and i."""
-    elements = np.array(list(itertools.permutations(range(points))))
-    keys = points ** np.arange(points)  # a row's key is its entries in base ``points``
-    ids = np.zeros(points**points, dtype=np.intp)
-    ids[elements @ keys] = np.arange(len(elements))
-    table = ids[elements[:, elements] @ keys].astype(np.min_scalar_type(len(elements)))
-    swaps = np.concatenate(([0], ids[_swaps(np.arange(1, points), points) @ keys]))
-    return _frozen(elements), _frozen(table), _frozen(swaps)
-
-
-def _stretch_moved(codes: np.ndarray) -> np.ndarray:
-    """``moved`` of a stretch of plain letters, on the points 0..max|code| it touches.
-
-    On at most TABLE_POINTS points the letters are reduced in the Cayley
-    table of the symmetric group; on more, each letter swaps two points.
-    """
-    points = max(int(codes.max()), -int(codes.min())) + 1
-    if points <= TABLE_POINTS:
-        elements, table, swaps = _symmetric_group(points)
-        return elements[table_product(table, swaps[np.abs(codes)])]
-    moved = list(range(points))
-    for c in codes.tolist():
-        i = abs(c)
-        moved[i - 1], moved[i] = moved[i], moved[i - 1]
-    return np.array(moved)
-
-
-def _walk(codes: np.ndarray, runs, lo: int, hi: int, strands: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the strands of codes[lo:hi] end up, and its signed letter sums.
-
-    ``runs`` are the power runs of the span, with starts relative to ``lo``.
-    Returns ``(moved, sums)``: ``moved[p]`` is the position, before the
-    stretch, of the strand at position p after it, and ``sums[i]`` the signed
-    count of s_i.  A run costs its first period's walk and a permutation
-    power; the letters between runs are composed and counted by numpy.
-    """
-    moved = np.arange(strands)
-    sums = np.zeros(strands, dtype=np.intp)
-    at = lo
-    for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
-        start += lo
-        stretch = codes[at:start]
-        if len(stretch):
-            stretch_moved = _stretch_moved(stretch)
-            moved[: len(stretch_moved)] = moved[stretch_moved]
-            counts = np.bincount(stretch + strands, minlength=2 * strands)
-            sums += counts[strands:] - counts[strands:0:-1]
-        if count:
-            run_moved, run_sums = _walk(codes, inner, start, start + period, strands)
-            moved = moved[_permutation_power(run_moved, count)]
-            sums += count * run_sums
-        at = start + period * count
-    return moved, sums
+    """S_points, the ``finite_group`` of its adjacent transpositions, each its own inverse."""
+    eye = np.eye(points)
+    swaps = [eye[[*range(i - 1), i, i - 1, *range(i + 1, points)]] for i in range(1, points)]
+    return finite_group(np.stack(swaps + swaps[::-1]))
 
 
 def word_images(word: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The permutation image and the signed letter count of each generator
-    s_1 .. s_{n-1}, from one walk over the word's codes and power runs."""
-    moved, sums = _walk(word.codes, word.powers, 0, len(word), word.strands)
-    image = np.empty(word.strands, dtype=np.intp)
-    image[moved] = np.arange(1, word.strands + 1)
-    return tuple(image.tolist()), tuple(sums[1:].tolist())
+    s_1 .. s_{n-1}: the word's element of the symmetric group on at most
+    TABLE_POINTS strands, and on more one swap per code and one bincount."""
+    n = word.strands
+    if n <= TABLE_POINTS:
+        group = _symmetric_group(n)
+        g, counts = group_element(word.codes, word.powers, 0, len(word), group, n)
+        moved = group[0][g].argmax(axis=0)  # column p: the start of the strand that ends at p
+    else:
+        moved = list(range(n))
+        for c in word.codes.tolist():
+            i = abs(c)
+            moved[i - 1], moved[i] = moved[i], moved[i - 1]
+        counts = np.bincount(word.codes + n, minlength=2 * n)
+    image = np.empty(n, dtype=np.intp)
+    image[moved] = np.arange(1, n + 1)
+    return tuple(image.tolist()), tuple((counts[n + 1 :] - counts[n - 1 : 0 : -1]).tolist())
 
 
 def exponent_sum(word: BraidWord) -> int:

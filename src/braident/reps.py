@@ -30,12 +30,11 @@ read, and ``verify_relations`` re-judges them at any tolerance;
 Finite images.  With e^{i theta} taken out (theta is 0 on jones), the
 generators of b2, ge and jones make finite groups of order 2, 48 and 192
 (Jones, Ann. Math. 126, 1987, on roots of unity with finite image; Kauffman
-and Lomonaco, quant-ph/0401090, on these Bell-basis changes).  ``evaluate``
-reads a word on them as elements of ``Representation.group``, a power run as
-its period's element repeated count mod order times, and reduces the
-elements pairwise through the Cayley table in written order
-(``braids.table_product``).  The image is e^{i theta e} M[g], e the exponent
-sum: one rounded element at any length.
+and Lomonaco, quant-ph/0401090, on these Bell-basis changes).
+``Representation.group`` is ``braids.finite_group`` of those generators, the
+builder that also makes the symmetric group of a word's permutation image,
+and ``evaluate`` reads a word in it by ``braids.group_element``.  The image
+is e^{i theta e} M[g], e the exponent sum: one rounded element at any length.
 
 Every path reads the word's signed codes (``BraidWord.codes``, +i for s_i
 and -i for its inverse) by slices of one array, never its letters one by
@@ -85,7 +84,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .braids import BraidWord, free_reduce_codes, table_product
+from .braids import BraidWord, finite_group, free_reduce_codes, group_element, strand_count
 from .linalg import DEFAULT_TOL, equal_up_to_phase
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so b2 is faithful at the default angle
@@ -130,31 +129,11 @@ class Representation:
 
     @cached_property
     def group(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The finite group of the unphased generators e^{-i phase} B: its elements
-        (identity first), Cayley table (``table[g, h]`` is g h) and the element of
-        each signed letter c at index c.  Each breadth-first layer is one matmul;
-        the column of h = p l, p its parent, is p's column times l."""
-        n, d = self.strands, self.dimension
-        codes = [*range(1, n), *range(1 - n, 0)]
+        """``braids.finite_group`` of the unphased generators e^{-i phase} B: its
+        elements (identity first), Cayley table (``table[g, h]`` is g h) and the
+        element of each signed letter c at index c."""
         unphased = np.exp(-1j * self.phase) * np.stack([block for block, _ in self.blocks])
-        images = np.stack([unphased[c - 1] if c > 0 else unphased[-c - 1].conj().T for c in codes])
-        elements, parents, right = [np.eye(d, dtype=complex)], [], []
-        keys = {_rounded(elements[0]).tobytes(): 0}
-        while len(right) < len(elements):  # one breadth-first layer per pass
-            layer = np.matmul(np.stack(elements[len(right) :])[:, None], images)
-            for row, row_keys in zip(layer, _rounded(layer)):
-                right.append([keys.setdefault(key.tobytes(), len(keys)) for key in row_keys])
-                for j, h in enumerate(right[-1]):
-                    if h == len(elements):
-                        elements.append(row[j])
-                        parents.append((len(right) - 1, j))
-        right = np.array(right)
-        table = np.empty((len(elements),) * 2, dtype=np.min_scalar_type(len(elements)))
-        table[:, 0] = np.arange(len(elements))
-        for h, (p, j) in enumerate(parents, start=1):
-            table[:, h] = right[table[:, p], j]
-        letters = np.concatenate(([0], right[0]))  # a negative code counts from the end
-        return _frozen(np.stack(elements)), _frozen(table), _frozen(letters)
+        return finite_group(np.concatenate((unphased, unphased[::-1].conj().transpose(0, 2, 1))))
 
     @cached_property
     def relation_report(self) -> RelationReport:
@@ -204,11 +183,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
-
-
-def _rounded(a: np.ndarray) -> np.ndarray:
-    """Group element keys: entries in quarters, finer than the 0.5 between elements."""
-    return np.rint(4 * a.view(float)).astype(np.int8)
 
 
 def _span(block: np.ndarray, first: int) -> tuple[int, int]:
@@ -390,8 +364,7 @@ def generic_rep(u, strands: int) -> Representation:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    if strands < 2:
-        raise ValueError(f"need at least 2 strands, got {strands}")
+    strands = strand_count(strands)
     if strands > 8:
         raise ValueError(f"at most 8 strands supported, got {strands}")
     blocks = [(u, i) for i in range(1, strands)]
@@ -485,27 +458,6 @@ def _product(rep: Representation, codes: np.ndarray, runs, lo: int, hi: int) -> 
     return _fold(rep, codes, at, hi, p)
 
 
-def _element(rep: Representation, codes: np.ndarray, runs, lo: int, hi: int) -> tuple[int, int]:
-    """The ``Representation.group`` element of codes[lo:hi] and its exponent sum.
-
-    ``runs`` are the power runs of the span, with starts relative to ``lo``.
-    A run is its period's element repeated count % order times (Lagrange).
-    """
-    _, table, letter_elements = rep.group
-    pieces, total, at = [], 0, lo
-    for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
-        start += lo
-        stretch = codes[at:start]
-        pieces.append(letter_elements[stretch])
-        total += int(np.sign(stretch).sum())
-        if count:
-            g, e = _element(rep, codes, inner, start, start + period)
-            pieces.append(np.full(count % len(table), g))
-            total += count * e
-        at = start + period * count
-    return table_product(table, np.concatenate(pieces)), total
-
-
 def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     """Evaluate a braid word to the product of generator images in written order.
 
@@ -523,8 +475,10 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
         )
     d = rep.dimension
     if rep.phase is not None:
-        g, e = _element(rep, word.codes, word.powers, 0, len(word))
-        return np.exp(1j * rep.phase * e) * rep.group[0][g]
+        n = rep.strands
+        g, counts = group_element(word.codes, word.powers, 0, len(word), rep.group, n)
+        counts = counts.tolist()  # of each code c at c + n, so e = sum(c > 0) - sum(c < 0)
+        return np.exp(1j * rep.phase * (sum(counts[n + 1 :]) - sum(counts[:n]))) * rep.group[0][g]
     p = _product(rep, word.codes, word.powers, 0, len(word))
     if p is None:
         return np.eye(d, dtype=complex)

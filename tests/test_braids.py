@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import math
 import pickle
 import random
 import tracemalloc
@@ -183,6 +184,17 @@ class TestParser:
     def test_strands_below_two_rejected(self):
         with pytest.raises(ValueError):
             parse_braid_word("s1", 1)
+
+    @pytest.mark.parametrize("strands", [3.0, "3", None])
+    def test_strand_count_must_be_an_integer(self, strands):
+        with pytest.raises(ValueError, match="strand count must be an integer"):
+            parse_braid_word("s1", strands)
+        with pytest.raises(ValueError, match="strand count must be an integer"):
+            BraidWord(strands, [1])
+
+    def test_numpy_integer_strand_count(self):
+        for word in (parse_braid_word("s1 s2^-1", np.int64(3)), BraidWord(np.int64(3), [1, -2])):
+            assert type(word.strands) is int and word == BraidWord(3, [1, -2])
 
     @given(words(3))
     def test_render_parse_round_trip(self, word):
@@ -440,11 +452,16 @@ class TestPowerRuns:
         assert word == flat
         assert hash(word) == hash(flat)
 
-    @given(st.sampled_from([3, 5]).flatmap(lambda n: st.tuples(st.just(n), word_texts(strands=n))))
+    @given(
+        st.sampled_from([2, 3, 5, 6, 8]).flatmap(
+            lambda n: st.tuples(st.just(n), word_texts(strands=n))
+        )
+    )
     @example((3, "(s1 s2^-1)^3"))
     @example((3, "(s1 s2^-1)^6"))
     @example((3, "s2 (s1 s1^-1)^2 s2^-1 (s1 s2^-1)^3 s2 s2^-1"))
     @example((5, "((s1 s2 s3^-1)^1000 s4)^-7 s2"))
+    @example((8, "((s1 s2 s3^-1 s4 s5 s6 s7^-1)^1500 s4)^-2 s7"))
     def test_runs_give_the_images_of_the_letters(self, case):
         n, text = case
         word = parse_braid_word(text, n)
@@ -643,6 +660,23 @@ class TestPermutations:
         rng = random.Random(n)
         word = word_of(n, [rng.randint(1, n - 1) * rng.choice([1, -1]) for _ in range(5000)])
         assert braids.word_images(word) == swapped_images(word)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_symmetric_group_is_exact(self, n):
+        # the group builder that makes the unitary images, certified on S_n
+        elements, table, letters = braids._symmetric_group(n)
+        assert len(elements) == math.factorial(n)
+        np.testing.assert_array_equal(elements[0], np.eye(n))
+        assert np.isin(elements, (0, 1)).all()
+        assert (elements.sum(axis=1) == 1).all() and (elements.sum(axis=2) == 1).all()
+        assert len({e.tobytes() for e in elements}) == len(elements)
+        # permutation matrices multiply exactly, so each product is its element
+        np.testing.assert_array_equal(elements[table], elements[:, None] @ elements[None])
+        for c in [*range(1, n), *range(1 - n, 0)]:
+            swap, i = np.eye(n), abs(c)
+            swap[[i - 1, i]] = swap[[i, i - 1]]  # the transposition of points i - 1 and i
+            np.testing.assert_array_equal(elements[letters[c]], swap)
+            assert table[letters[c], letters[c]] == 0
 
     def test_image_of_single_letter(self):
         assert permutation_image(parse_braid_word("s1", 3)) == (2, 1, 3)

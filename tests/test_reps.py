@@ -226,6 +226,10 @@ class TestGenericRep:
             generic_rep(I2, 3)
         with pytest.raises(ValueError, match="at least 2"):
             generic_rep(I4, 1)
+        for strands in (3.0, "3", None):
+            with pytest.raises(ValueError, match="strand count must be an integer"):
+                generic_rep(I4, strands)
+        assert generic_rep(I4, np.int64(3)).strands == 3
         with pytest.raises(ValueError, match="at most 8"):
             generic_rep(I4, 9)
 
