@@ -38,8 +38,11 @@ starts at position x, with letters acting in word order.  Cycle counting of
 that image gives the number of components of the word's closure.  This
 image and the unitary images of ``reps`` are finite groups, each built by
 ``finite_group`` from its letters' matrices; ``group_element`` reads a word in
-one over its power runs (a run costs its first period), with its letter
-counts (the image in the free group's abelianization).
+one over its power runs (a run costs its first period), with a tally of its
+codes: its exponent sum, or its letter counts (the image in the free group's
+abelianization).  Past ``TABLE_POINTS`` strands the permutation image is the
+swap loop over the written letters, a run raised to its count through the
+cycles of its first period's arrangement.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ SCAN_CHARS = 750
 
 # word_images reads a word on at most TABLE_POINTS strands in the Cayley table
 # of the symmetric group (120 elements at 5 points); on more it swaps the
-# points one letter at a time.
+# points one written letter at a time and raises a run's swaps to its count.
 TABLE_POINTS = 5
 
 # BraidWord checks the range of at most this many codes in one Python pass and
@@ -481,28 +484,31 @@ def finite_group(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _frozen(np.stack(elements)), _frozen(table), _frozen(letters)
 
 
-def group_element(codes, runs, lo: int, hi: int, group, strands: int) -> tuple[int, np.ndarray]:
-    """The ``finite_group`` element of codes[lo:hi] and the count of each code c
-    in it, at index c + strands.
+def group_element(codes, runs, lo: int, hi: int, group, tally) -> tuple[int, object]:
+    """The ``finite_group`` element of codes[lo:hi] and the sum of ``tally``
+    over it.
 
-    ``runs`` are the power runs of the span, with starts relative to ``lo``.
-    A stretch of plain letters is one gather of letter ids and one bincount;
-    a run is its period's element repeated count % order times (Lagrange).
+    ``tally`` maps a stretch of codes to a quantity that adds up over the
+    stretches of a word, such as its exponent sum or the count of each code;
+    the sum is 0 on an empty span.  ``runs`` are the power runs of the span,
+    with starts relative to ``lo``.  A stretch of plain letters is one gather
+    of letter ids and one tally; a run is its period's element repeated
+    count % order times (Lagrange), and its period's tally count times.
     """
     _, table, letters = group
-    ids, counts, at = [], np.zeros(2 * strands, np.intp), lo
+    ids, total, at = [], 0, lo
     for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
         start += lo
         if at < start:
             stretch = codes[at:start]
             ids.append(letters[stretch])
-            counts += np.bincount(stretch + strands, minlength=2 * strands)
+            total += tally(stretch)
         if count:
-            g, run_counts = group_element(codes, inner, start, start + period, group, strands)
+            g, run_total = group_element(codes, inner, start, start + period, group, tally)
             ids.append(np.full(count % len(table), g))
-            counts += count * run_counts
+            total += count * run_total
         at = start + period * count
-    return (table_product(table, np.concatenate(ids)) if ids else 0), counts
+    return (table_product(table, np.concatenate(ids)) if ids else 0), total
 
 
 @functools.lru_cache(maxsize=TABLE_POINTS)
@@ -513,24 +519,60 @@ def _symmetric_group(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return finite_group(np.stack(swaps + swaps[::-1]))
 
 
+def _swaps(codes, runs, lo: int, hi: int, strands: int) -> tuple[list[int], list[int]]:
+    """The swap loop over codes[lo:hi] from the identity arrangement: entry p
+    is the position before the span of the strand at p after it, and entry i
+    of the second list the signed count of s_i.
+
+    Each written letter swaps two entries; a run maps p to its period's entry
+    applied count times, through the cycles of the period's arrangement, so
+    it costs O(strands) past its first period.
+    """
+    moved, sums, at = list(range(strands)), [0] * strands, lo
+    for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
+        start += lo
+        for c in codes[at:start].tolist():
+            i = abs(c)
+            moved[i - 1], moved[i] = moved[i], moved[i - 1]
+            sums[i] += 1 if c > 0 else -1
+        if count:
+            step, run_sums = _swaps(codes, inner, start, start + period, strands)
+            power = [-1] * strands
+            for p in range(strands):
+                if power[p] < 0:  # p's cycle under step, each entry sent count along it
+                    cycle = [p]
+                    while step[cycle[-1]] != p:
+                        cycle.append(step[cycle[-1]])
+                    for j, q in enumerate(cycle):
+                        power[q] = cycle[(j + count) % len(cycle)]
+            moved = [moved[q] for q in power]
+            sums = [s + count * r for s, r in zip(sums, run_sums)]
+        at = start + period * count
+    return moved, sums
+
+
 def word_images(word: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The permutation image and the signed letter count of each generator
     s_1 .. s_{n-1}: the word's element of the symmetric group on at most
-    TABLE_POINTS strands, and on more one swap per code and one bincount."""
+    TABLE_POINTS strands, and on more its swap loop with powered runs."""
     n = word.strands
+    if not len(word):
+        return tuple(range(1, n + 1)), (0,) * (n - 1)
     if n <= TABLE_POINTS:
         group = _symmetric_group(n)
-        g, counts = group_element(word.codes, word.powers, 0, len(word), group, n)
-        moved = group[0][g].argmax(axis=0)  # column p: the start of the strand that ends at p
+        g, counts = group_element(
+            word.codes, word.powers, 0, len(word), group,
+            lambda stretch: np.bincount(stretch + n, minlength=2 * n),
+        )
+        counts = counts.tolist()  # of each code c at c + n
+        sums = [counts[n + i] - counts[n - i] for i in range(n)]
+        moved = group[0][g].argmax(axis=0).tolist()  # column p: the start of the strand that ends at p
     else:
-        moved = list(range(n))
-        for c in word.codes.tolist():
-            i = abs(c)
-            moved[i - 1], moved[i] = moved[i], moved[i - 1]
-        counts = np.bincount(word.codes + n, minlength=2 * n)
-    image = np.empty(n, dtype=np.intp)
-    image[moved] = np.arange(1, n + 1)
-    return tuple(image.tolist()), tuple((counts[n + 1 :] - counts[n - 1 : 0 : -1]).tolist())
+        moved, sums = _swaps(word.codes, word.powers, 0, len(word), n)
+    image = [0] * n
+    for position, start in enumerate(moved, start=1):
+        image[start] = position
+    return tuple(image), tuple(sums[1:])
 
 
 def exponent_sum(word: BraidWord) -> int:

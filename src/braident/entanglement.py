@@ -14,7 +14,9 @@ tripartite entanglement apart:
   hyperdeterminant, the discriminant of det(x A0 + y A1) for the two
   amplitude slices A0, A1 of qubit 1),
 * the residual profile: measure each qubit in the computational basis and
-  record outcome probability and leftover two-qubit concurrence.
+  record outcome probability and leftover two-qubit concurrence, read from
+  the eight amplitudes as Python numbers in the roundings numpy's
+  measurement takes.
 
 All measures except the residual profile are invariant under local unitaries;
 the residual profile is deliberately basis dependent, which is what separates
@@ -29,12 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _branch, _qubit_subset
+from .states import PROB_FLOOR, DensityMatrix, PureState, _qubit_subset
 
 _EIG_FLOOR = 1e-14
 
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _YY = np.kron(_PAULI_Y, _PAULI_Y)
+
+# (qubit, outcome, amplitude indices of the branch in the order of the two
+# qubits left) for the six branches of a three-qubit residual profile
+_BRANCHES = tuple(
+    (qubit, outcome, tuple(i for i in range(8) if i >> (3 - qubit) & 1 == outcome))
+    for qubit in (1, 2, 3)
+    for outcome in (0, 1)
+)
 
 
 @dataclass(frozen=True)
@@ -166,20 +176,31 @@ def three_tangle(state: PureState) -> float:
 def residual_profile(state: PureState) -> ResidualProfile:
     """Probability and post-measurement concurrence for every (qubit, outcome).
 
-    Impossible branches are recorded with probability 0 and concurrence None
-    instead of raising, so profiles of basis states are total.  The values
-    are those of ``measure_qubit`` and ``concurrence_pure2``, read from the
-    normalized branch amplitudes without building a post-measurement
-    ``PureState`` per branch.
+    Impossible branches (probability below PROB_FLOOR) are recorded with
+    probability 0 and concurrence None instead of raising, so profiles of
+    basis states are total.  The values are those of ``measure_qubit`` and
+    ``concurrence_pure2``, computed on the eight amplitudes as Python
+    numbers without building a post-measurement ``PureState`` per branch.
+    Two roundings follow numpy's: the branch's squared norm is summed as
+    (x0^2 + x2^2) + (x1^2 + x3^2), once over the real parts and once over the
+    imaginary ones, as ``np.linalg.norm`` sums them by OpenBLAS's strided
+    ``ddot``; and the branch is scaled by 1/sqrt(p), as numpy divides a
+    complex array by a float.
     """
     if state.qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {state.qubits} qubits")
+    amplitudes = state.amplitudes.tolist()
+    re2 = [a.real * a.real for a in amplitudes]
+    im2 = [a.imag * a.imag for a in amplitudes]
     entries = []
-    for qubit in (1, 2, 3):
-        for outcome in (0, 1):
-            probability, branch = _branch(state, qubit, outcome)
-            if branch is None:
-                entries.append(ProfileEntry(qubit, outcome, 0.0, None))
-            else:
-                entries.append(ProfileEntry(qubit, outcome, probability, _concurrence(branch)))
+    for qubit, outcome, (i, j, k, m) in _BRANCHES:
+        squares = ((re2[i] + re2[k]) + (re2[j] + re2[m])) + ((im2[i] + im2[k]) + (im2[j] + im2[m]))
+        probability = math.sqrt(squares) ** 2
+        if probability < PROB_FLOOR:
+            entries.append(ProfileEntry(qubit, outcome, 0.0, None))
+            continue
+        probability = min(max(probability, 0.0), 1.0)
+        scale = 1.0 / math.sqrt(probability)
+        b0, b1, b2, b3 = (amplitudes[x] * scale for x in (i, j, k, m))
+        entries.append(ProfileEntry(qubit, outcome, probability, 2.0 * abs(b0 * b3 - b1 * b2)))
     return ResidualProfile(tuple(entries))

@@ -33,8 +33,9 @@ generators of b2, ge and jones make finite groups of order 2, 48 and 192
 and Lomonaco, quant-ph/0401090, on these Bell-basis changes).
 ``Representation.group`` is ``braids.finite_group`` of those generators, the
 builder that also makes the symmetric group of a word's permutation image,
-and ``evaluate`` reads a word in it by ``braids.group_element``.  The image
-is e^{i theta e} M[g], e the exponent sum: one rounded element at any length.
+and ``evaluate`` reads a word in it by ``braids.group_element``, which also
+sums the word's signs.  The image is e^{i theta e} M[g], e the exponent sum:
+one rounded element at any length.
 
 Every path reads the word's signed codes (``BraidWord.codes``, +i for s_i
 and -i for its inverse) by slices of one array, never its letters one by
@@ -458,6 +459,11 @@ def _product(rep: Representation, codes: np.ndarray, runs, lo: int, hi: int) -> 
     return _fold(rep, codes, at, hi, p)
 
 
+def _sign_sum(codes: np.ndarray) -> int:
+    """The exponent sum of a stretch of codes: its positive codes less its negative ones."""
+    return int(np.sign(codes).sum())
+
+
 def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     """Evaluate a braid word to the product of generator images in written order.
 
@@ -475,10 +481,8 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
         )
     d = rep.dimension
     if rep.phase is not None:
-        n = rep.strands
-        g, counts = group_element(word.codes, word.powers, 0, len(word), rep.group, n)
-        counts = counts.tolist()  # of each code c at c + n, so e = sum(c > 0) - sum(c < 0)
-        return np.exp(1j * rep.phase * (sum(counts[n + 1 :]) - sum(counts[:n]))) * rep.group[0][g]
+        g, e = group_element(word.codes, word.powers, 0, len(word), rep.group, _sign_sum)
+        return np.exp(1j * rep.phase * e) * rep.group[0][g]
     p = _product(rep, word.codes, word.powers, 0, len(word))
     if p is None:
         return np.eye(d, dtype=complex)

@@ -8,16 +8,18 @@ renormalized state on the remaining ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import index
 
 import numpy as np
 
-from .linalg import is_unitary
-
 NORM_TOL = 1e-10
 DRIFT_TOL = 1e-8
 PROB_FLOOR = 1e-12
+
+_I2 = np.eye(2, dtype=complex)
+_EPS = np.finfo(float).eps
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -68,7 +70,10 @@ class DensityMatrix:
     the matrix's are (qubit 1 the most significant bit, so 00, 01, 10, 11 on
     two qubits), and whose columns are the pure state itself or, in a
     reduction, one per basis state of the qubits traced out (two for a pair
-    of a three-qubit state).  Every other matrix, and every reduction of
+    of a three-qubit state).  Such a matrix is formed from F when ``matrix``
+    is first read (repr reads it too), by the same products that would have
+    formed it at once, and is read-only from then on; a measure that reads
+    only the factor forms none.  Every other matrix, and every reduction of
     one, goes through the checks and has ``_factor`` None.  The factor
     takes no part in repr.  Density matrices compare by identity.
     """
@@ -98,6 +103,15 @@ class DensityMatrix:
         if np.linalg.eigvalsh(m)[0] < -NORM_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", _freeze(m.copy()))
+
+    def __getattr__(self, name):
+        # reached only when ``name`` is not set: a projector's matrix before its first read
+        form = self.__dict__.get("_form")
+        if name != "matrix" or form is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m = _freeze(form(self._factor))
+        object.__setattr__(self, "matrix", m)
+        return m
 
 
 @dataclass(frozen=True)
@@ -135,6 +149,8 @@ def apply(operator, state: PureState) -> PureState:
     """Apply a unitary matrix to the state, correcting tiny norm drift.
 
     Norm drift beyond 1e-8 means the operator was not unitary and raises.
+    The output is divided by its norm in place and kept without the
+    ``PureState`` checks, which that division meets.
     """
     m = np.asarray(operator, dtype=complex)
     dim = 2**state.qubits
@@ -144,21 +160,11 @@ def apply(operator, state: PureState) -> PureState:
     norm = np.linalg.norm(out)
     if not abs(norm - 1.0) <= DRIFT_TOL:  # NaN fails too
         raise ValueError(f"operator is not norm preserving (output norm {norm!r})")
-    return PureState(state.qubits, out / norm)
-
-
-def _branch(state: PureState, k: int, outcome: int) -> tuple[float, np.ndarray | None]:
-    """Probability of ``outcome`` on qubit k and the normalized branch amplitudes.
-
-    The branch is None when the probability is below PROB_FLOOR; otherwise
-    the probability is clamped to [0, 1].  Arguments are not checked.
-    """
-    branch = state.amplitudes.reshape([2] * state.qubits).take(outcome, axis=k - 1).reshape(-1)
-    probability = float(np.linalg.norm(branch) ** 2)
-    if probability < PROB_FLOOR:
-        return probability, None
-    probability = min(max(probability, 0.0), 1.0)
-    return probability, branch / np.sqrt(probability)
+    out /= norm
+    result = object.__new__(PureState)
+    object.__setattr__(result, "qubits", state.qubits)
+    object.__setattr__(result, "amplitudes", _freeze(out))
+    return result
 
 
 def measure_qubit(state: PureState, k: int, outcome: int) -> MeasurementOutcome:
@@ -179,41 +185,61 @@ def measure_qubit(state: PureState, k: int, outcome: int) -> MeasurementOutcome:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    probability, branch = _branch(state, k, outcome)
-    if branch is None:
+    branch = state.amplitudes.reshape([2] * n).take(outcome, axis=k - 1).reshape(-1)
+    probability = float(np.linalg.norm(branch) ** 2)
+    if probability < PROB_FLOOR:
         raise ImpossibleOutcomeError(
             f"outcome {outcome} on qubit {k} has probability {probability:.3e}"
         )
-    return MeasurementOutcome(probability, PureState(n - 1, branch))
+    probability = min(max(probability, 0.0), 1.0)
+    return MeasurementOutcome(probability, PureState(n - 1, branch / np.sqrt(probability)))
 
 
 def density(state: PureState) -> DensityMatrix:
-    """Rank-one projector |psi><psi| / <psi|psi>, in O(d^2), with factor psi.
+    """Rank-one projector |psi><psi| / <psi|psi>, with factor psi.
 
     ``PureState`` already checked psi, and psi psi^dag is Hermitian and
     positive semidefinite by construction, so none of the constructor's
     checks is repeated.  A norm within NORM_TOL of 1 can still leave
     <psi|psi> = tr(psi psi^dag) off 1 by more than NORM_TOL; only then is
-    the outer product divided by its trace, and the factor by its square
-    root.  The factor lets ``partial_trace`` skip the checks on its
-    reductions as well.
+    the outer product formed at once, O(d^2), and divided by its trace, and
+    the factor by its square root.  Otherwise the matrix is the outer
+    product ``np.outer(psi, psi*)``, formed when it is first read.  The
+    factor lets ``partial_trace`` skip the checks on its reductions as well.
     """
     a = state.amplitudes
-    m = np.outer(a, a.conj())
     factor = a.reshape(-1, 1)
+    # vdot and the outer product's trace each lie within (d + 1) u of <psi|psi>,
+    # so they agree on which side of NORM_TOL it lies when vdot is this close
+    if abs(np.vdot(a, a).real - 1.0) <= NORM_TOL - 2 * a.size * _EPS:
+        return _projector_density(state.qubits, factor, _outer)
+    m = np.outer(a, a.conj())
     trace = np.trace(m).real
     if abs(trace - 1.0) > NORM_TOL:
         m /= trace
         factor = factor / np.sqrt(trace)
-    return _projector_density(state.qubits, m, factor)
+    rho = _projector_density(state.qubits, factor, None)
+    object.__setattr__(rho, "matrix", _freeze(m))
+    return rho
 
 
-def _projector_density(qubits: int, m: np.ndarray, factor: np.ndarray) -> DensityMatrix:
-    """A DensityMatrix on ``m`` = factor factor^dag, without the constructor's checks."""
+def _outer(factor: np.ndarray) -> np.ndarray:
+    """The matrix of ``density``'s projector from its one-column factor."""
+    return np.outer(factor[:, 0], factor[:, 0].conj())
+
+
+def _gram(factor: np.ndarray) -> np.ndarray:
+    """The matrix of a reduction from its factor F: F F^dag."""
+    return factor @ factor.conj().T
+
+
+def _projector_density(qubits: int, factor: np.ndarray, form) -> DensityMatrix:
+    """A DensityMatrix on factor factor^dag, without the constructor's checks,
+    whose matrix ``form(factor)`` makes on its first read."""
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "qubits", qubits)
-    object.__setattr__(rho, "matrix", _freeze(m))
     object.__setattr__(rho, "_factor", _freeze(factor))
+    object.__setattr__(rho, "_form", form)
     return rho
 
 
@@ -237,26 +263,35 @@ def _qubit_subset(labels, n: int, name: str, proper: bool = False) -> list[int]:
     return subset
 
 
+@functools.lru_cache(maxsize=256)
+def _factor_axes(n: int, kept: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tensor shape of an n-qubit factor and the axis order that puts the
+    kept qubits first, then the traced ones, then the factor's columns."""
+    traced = [q - 1 for q in range(1, n + 1) if q not in kept]
+    return (2,) * n + (-1,), (*(q - 1 for q in kept), *traced, n)
+
+
 def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept qubits (ascending original order).
 
     A matrix with a factor F (``density`` and its reductions) is reduced
     through F: with F's tensor reshaped to kept x (traced * columns), the
-    reduction is F_k F_k^dag, and F_k is its factor.  It skips the
-    constructor's checks: F_k F_k^dag is positive semidefinite by
-    construction, Hermitian within rounding, and its trace is the squared
-    norm of F, which ``density`` put at 1.  Any other matrix is reduced by
-    summing its 2n-index tensor over the traced qubits and checked in full,
-    since rounding can grow its Hermitian gap under the trace.
+    reduction is F_k F_k^dag, and F_k is its factor.  That product is formed
+    when the reduction's matrix is first read, so a measure that reads only
+    F_k forms none.  It skips the constructor's checks: F_k F_k^dag is
+    positive semidefinite by construction, Hermitian within rounding, and
+    its trace is the squared norm of F, which ``density`` put at 1.  Any
+    other matrix is reduced at once by summing its 2n-index tensor over the
+    traced qubits and checked in full, since rounding can grow its Hermitian
+    gap under the trace.
     """
     n = dm.qubits
     kept = _qubit_subset(keep, n, "keep")
     dim = 2 ** len(kept)
     if dm._factor is not None:
-        traced = [q - 1 for q in range(1, n + 1) if q not in kept]
-        tensor = dm._factor.reshape([2] * n + [-1])
-        f = tensor.transpose([q - 1 for q in kept] + traced + [n]).reshape(dim, -1)
-        return _projector_density(len(kept), f @ f.conj().T, f)
+        shape, axes = _factor_axes(n, tuple(kept))
+        f = dm._factor.reshape(shape).transpose(axes).reshape(dim, -1)
+        return _projector_density(len(kept), f, _gram)
     # einsum labels: qubit i + 1 has row axis i and column axis n + i, or i if traced out
     labels = [*range(n)] + [n + i if i + 1 in kept else i for i in range(n)]
     out = [q - 1 for q in kept] + [n + q - 1 for q in kept]
@@ -267,19 +302,27 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
 def apply_local(state: PureState, factors) -> PureState:
     """Apply a tensor product of single-qubit unitaries, factor i to qubit i.
 
-    The product is formed left to right with one broadcast multiply per
-    factor, the same products ``np.kron`` takes.
+    Every factor must be 2 x 2 and unitary within NORM_TOL (the Frobenius
+    norm of F F^dag - I); the first factor that is not raises.  The 2 x 2
+    factors before it are checked together, by one stacked product and one
+    norm.  The product is formed left to right with one broadcast multiply
+    per factor, the same products ``np.kron`` takes.
     """
     factors = [np.asarray(f, dtype=complex) for f in factors]
     if len(factors) != state.qubits:
         raise ValueError(
             f"need {state.qubits} factors (one per qubit), got {len(factors)}"
         )
-    for i, f in enumerate(factors, start=1):
-        if f.shape != (2, 2):
-            raise ValueError(f"factor {i} has shape {f.shape}, expected (2, 2)")
-        if not is_unitary(f, NORM_TOL):
-            raise ValueError(f"factor {i} is not unitary within tolerance")
+    shaped = next((i for i, f in enumerate(factors) if f.shape != (2, 2)), len(factors))
+    if shaped:
+        stack = np.array(factors[:shaped])
+        gaps = np.linalg.norm(stack @ stack.conj().transpose(0, 2, 1) - _I2, axis=(1, 2))
+        bad = next((i for i, gap in enumerate(gaps.tolist(), 1) if not gap <= NORM_TOL), 0)
+        if bad:  # NaN fails too
+            raise ValueError(f"factor {bad} is not unitary within tolerance")
+    if shaped < len(factors):
+        f = factors[shaped]
+        raise ValueError(f"factor {shaped + 1} has shape {f.shape}, expected (2, 2)")
     product = factors[0]
     for f in factors[1:]:
         k = 2 * len(product)

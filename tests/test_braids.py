@@ -650,10 +650,44 @@ def swapped_images(word):
     return tuple(image), tuple(sums[1:])
 
 
+@st.composite
+def powered_texts(draw, strands, depth=0):
+    """Groups nested up to two deep, each atom raised to a power of either sign."""
+    atoms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if depth < 2 and draw(st.booleans()):
+            atom = f"({draw(powered_texts(strands, depth + 1))})"
+        else:
+            atom = f"s{draw(st.integers(min_value=1, max_value=strands - 1))}"
+        exponent = draw(st.integers(min_value=-12, max_value=12))
+        atoms.append(f"{atom}^{exponent}" if exponent != 1 else atom)
+    return " ".join(atoms)
+
+
 class TestPermutations:
     @given(st.integers(min_value=2, max_value=9).flatmap(lambda n: words(n, max_size=60)))
     def test_images_are_the_letter_by_letter_swaps(self, word):
         assert braids.word_images(word) == swapped_images(word)
+
+    @given(
+        st.integers(min_value=2, max_value=9).flatmap(
+            lambda n: st.tuples(st.just(n), powered_texts(n))
+        )
+    )
+    @example((6, "(s1 s2 s3 s4 s5)^-7 s5"))
+    @example((8, "((s1 s3^-1)^3 s7 (s2 s5)^-4)^-11 s4^12"))
+    def test_images_of_nested_and_negative_runs_are_the_swaps(self, case):
+        n, text = case
+        word = parse_braid_word(text, n)
+        assert braids.word_images(word) == swapped_images(word)
+
+    def test_long_power_past_the_table_is_read_through_its_cycles(self):
+        # s1 ... s7 moves every strand one place along an 8-cycle, and
+        # 142857 = 1 (mod 8); the flat swap loop would take a million swaps
+        word = parse_braid_word("(s1 s2 s3 s4 s5 s6 s7)^142857", 8)
+        assert len(word) == 999_999
+        image, _ = swapped_images(parse_braid_word("s1 s2 s3 s4 s5 s6 s7", 8))
+        assert braids.word_images(word) == (image, (142857,) * 7)
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_images_of_long_words_in_small_chunks(self, n):

@@ -6,8 +6,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from braident import states
 from braident.braids import parse_braid_word
 from braident.cli import LU_DEMO_FACTOR, _jsonable, state_from_json
+from braident.entanglement import concurrence_mixed2, vn_entropy
 from braident.linalg import haar_unitary
 from braident.reps import b2_rep, evaluate, ge_rep, jones_rep
 from braident.states import (
@@ -149,6 +151,23 @@ class TestApply:
     def test_nan_operator_is_not_norm_preserving(self):
         with pytest.raises(ValueError, match="operator is not norm preserving"):
             apply(np.full((8, 8), np.nan), named_state("ghz"))
+
+    def test_output_is_normalized_read_only_and_checks_its_operator(self):
+        rng = np.random.default_rng(19)
+        for qubits in (1, 2, 3, 5):
+            state = random_state(rng, qubits)
+            u = haar_unitary(2**qubits, rng)
+            out = apply(u, state)
+            assert out.qubits == qubits and not out.amplitudes.flags.writeable
+            product = u @ state.amplitudes
+            assert out.amplitudes.tobytes() == (product / np.linalg.norm(product)).tobytes()
+            assert PureState(qubits, out.amplitudes).amplitudes.tobytes() == out.amplitudes.tobytes()
+            with pytest.raises(ValueError, match="not norm preserving"):
+                apply(u * (1 + 2e-8), state)
+            nan = u.copy()
+            nan[0, 0] = np.nan
+            with pytest.raises(ValueError, match=r"output norm np\.float64\(nan\)"):
+                apply(nan, state)
 
     def test_word_then_inverse_restores_state(self):
         from braident.braids import inverse
@@ -308,6 +327,61 @@ class TestDensityAndPartialTrace:
             partial_trace(direct, {1, 2})
         assert partial_trace(direct, {2, 3}).matrix.shape == (4, 4)
 
+    def test_tripartite_measures_form_no_full_or_pair_matrix(self, monkeypatch):
+        # the sequence of the tripartite benchmark: density, three qubit
+        # reductions and their entropies, three pair reductions and their
+        # concurrences; only the 2 x 2 matrices the entropies read are formed
+        formed = []
+
+        def spy(form):
+            def recorded(factor):
+                matrix = form(factor)
+                formed.append(matrix.shape)
+                return matrix
+
+            return recorded
+
+        monkeypatch.setattr(states, "_outer", spy(states._outer))
+        monkeypatch.setattr(states, "_gram", spy(states._gram))
+        rng = np.random.default_rng(71)
+        for state in (named_state("ghz"), basis_state("011"), random_state(rng, 3)):
+            formed.clear()
+            rho = density(state)
+            for q in (1, 2, 3):
+                vn_entropy(partial_trace(rho, {q}))
+            pairs = [partial_trace(rho, pair) for pair in ({1, 2}, {1, 3}, {2, 3})]
+            for pair in pairs:
+                concurrence_mixed2(pair)
+            assert formed == [(2, 2)] * 3
+            assert all("matrix" not in vars(dm) for dm in (rho, *pairs))
+
+    def test_late_matrix_read_is_the_eager_product_and_read_only(self):
+        rng = np.random.default_rng(72)
+        for qubits in (1, 2, 3, 4):
+            state = random_state(rng, qubits)
+            rho = density(state)
+            reductions = {frozenset(keep): partial_trace(rho, keep) for keep in keep_sets(qubits)}
+            for reduced in reductions.values():  # read the factors first, the matrices after
+                if reduced.qubits == 2:
+                    concurrence_mixed2(reduced)
+            a = state.amplitudes
+            assert rho.matrix.tobytes() == np.outer(a, a.conj()).tobytes()
+            for keep, reduced in reductions.items():
+                kept = sorted(keep)
+                traced = [q - 1 for q in range(1, qubits + 1) if q not in keep]
+                f = a.reshape([2] * qubits + [1]).transpose([q - 1 for q in kept] + traced + [qubits])
+                f = f.reshape(2 ** len(kept), -1)
+                assert reduced.matrix.tobytes() == (f @ f.conj().T).tobytes()
+                assert reduced.matrix is reduced.matrix
+            for dm in (rho, *reductions.values()):
+                assert not dm.matrix.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    dm.matrix[0, 0] = 0
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    dm.matrix = np.eye(2**dm.qubits)
+        with pytest.raises(AttributeError, match="no attribute 'spin'"):
+            density(named_state("ghz")).spin
+
     def test_projector_mark_is_outside_comparison_and_repr(self):
         mark = {f.name: f for f in dataclasses.fields(DensityMatrix)}["_factor"]
         assert (mark.init, mark.compare, mark.repr) == (False, False, False)
@@ -385,6 +459,22 @@ class TestApplyLocal:
             apply_local(named_state("ghz"), [I2, I2, 2 * I2])
         with pytest.raises(ValueError, match="shape"):
             apply_local(named_state("ghz"), [I2, I2, np.eye(4)])
+
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            ([2 * I2, np.eye(4), I2], "factor 1 is not unitary within tolerance"),
+            ([np.eye(4), 2 * I2, I2], "factor 1 has shape (4, 4), expected (2, 2)"),
+            ([I2, np.full((2, 2), np.nan), np.eye(3)], "factor 2 is not unitary within tolerance"),
+            ([I2, I2, np.ones(2)], "factor 3 has shape (2,), expected (2, 2)"),
+            ([I2, I2 * (1 + 1e-10), I2], "factor 2 is not unitary within tolerance"),
+        ],
+    )
+    def test_the_first_bad_factor_raises(self, factors, message):
+        # the messages and their order are those of one check per factor in turn
+        with pytest.raises(ValueError) as info:
+            apply_local(named_state("ghz"), factors)
+        assert str(info.value) == message
 
 
 class TestJsonFormat:
