@@ -27,9 +27,12 @@ the word: equality, hashing and rendering ignore them.
 Flat text is generators with a one-digit index and an optional ``^-1``,
 apart from whitespace.  It is read straight into codes: a text shorter than
 SCAN_CHARS is split at whitespace and its tokens looked up in a table, and a
-longer one is scanned as bytes by numpy, with no string per letter.  Any
-other text goes through one token regex and the grammar, so errors carry
-their message and position.
+longer one is scanned as bytes by a few whole-array numpy passes, with no
+string per letter and no masked write.  The scan reads the digit after each
+"s" and whether "^-1" follows it, and a count proves the text flat: the
+spaces and the generators cover disjoint bytes, so the text is flat exactly
+when their sizes add up to its length.  Any other text goes through one
+token regex and the grammar, so errors carry their message and position.
 
 Words map onto the symmetric group by sending every letter, regardless of
 sign, to the adjacent transposition swapping its index with the next point.
@@ -38,11 +41,15 @@ starts at position x, with letters acting in word order.  Cycle counting of
 that image gives the number of components of the word's closure.  This
 image and the unitary images of ``reps`` are finite groups, each built by
 ``finite_group`` from its letters' matrices; ``group_element`` reads a word in
-one over its power runs (a run costs its first period), with a tally of its
-codes: its exponent sum, or its letter counts (the image in the free group's
-abelianization).  Past ``TABLE_POINTS`` strands the permutation image is the
-swap loop over the written letters, a run raised to its count through the
-cycles of its first period's arrangement.
+one over its power runs, with a tally of its codes: its exponent sum, or
+its letter counts (the image in the free group's abelianization).  A stretch
+of letters is read L at a time through a block table, the element of every
+L-letter word over the group's signed codes (the "Four Russians" table
+method of Arlazarov, Dinic, Kronrod and Faradzev, 1970), and the elements
+are multiplied in pairs through the Cayley table; a run costs its first
+period and one power by square-and-multiply.  Past ``TABLE_POINTS`` strands
+the permutation image is the swap loop over the written letters, a run
+raised to its count through the cycles of its first period's arrangement.
 """
 
 from __future__ import annotations
@@ -66,15 +73,25 @@ MAX_WORD_LETTERS = 10**6
 MAX_NUMBER_DIGITS = 100
 
 # Flat text of at least this many characters is scanned as bytes by numpy; a
-# shorter one is split at whitespace.  The scan costs about 16 us more on short
-# texts, and the two met at 700-770 characters (about 160 letters) in
-# alternating timings.
+# shorter one is split at whitespace.  The scan costs about 18 us however short
+# the text is, and the two met at 720-810 characters (160-180 letters) in
+# alternating timings of both readings.
 SCAN_CHARS = 750
 
 # word_images reads a word on at most TABLE_POINTS strands in the Cayley table
 # of the symmetric group (120 elements at 5 points); on more it swaps the
 # points one written letter at a time and raises a run's swaps to its count.
 TABLE_POINTS = 5
+
+# A finite group reads a stretch of letters in blocks of L letters, L as large
+# as (signed codes)^L <= BLOCK_WORDS allows: 16 on 2 strands, 8 on 3, 6 on 4
+# and 5 on 5, through a table of that many elements (64 KB at most).
+BLOCK_WORDS = 2**16
+
+# table_product multiplies element ids in pairs by numpy rounds while more
+# than LOOP_IDS remain, then folds the rest in a Python loop, which is the
+# faster of the two from about this many ids down.
+LOOP_IDS = 256
 
 # BraidWord checks the range of at most this many codes in one Python pass and
 # of more by three numpy reductions, which cost about 6 us however short the
@@ -209,11 +226,14 @@ def _flat_codes(text: str, strands: int) -> np.ndarray | None:
     an optional "^-1" right after the digit, and whitespace.  A text
     shorter than SCAN_CHARS is split at whitespace (what str.isspace
     accepts, as the token regex does), and every token must be one of
-    ``_FLAT_TOKENS``.  A longer one must be ASCII with spaces only; numpy
-    reads the digit after each "s" and looks for a "^" after it.  Counts of
-    the bytes then prove the rest: every "^" starts a "^-1" right after a
-    digit, and the length leaves no other digit or "-", so no index has two
-    digits and no "^-1" has a digit after it.
+    ``_FLAT_TOKENS``.  A longer one must be ASCII with spaces only, and is
+    read by whole-array numpy passes: the digit after each "s" and whether
+    a "^-1" follows it are read at the "s" positions, and one count proves
+    the rest.  A generator covers its "s", its digit and its "^-1", none of
+    which is a space or an "s", so the generators and the spaces cover
+    disjoint bytes; when their sizes add up to the text's length, every
+    byte is a space or part of a generator: no index has two digits, and a
+    "^-1" is followed by a space, an "s" or the end.
     """
     top = min(strands - 1, 9)
     if len(text) < SCAN_CHARS:
@@ -225,22 +245,17 @@ def _flat_codes(text: str, strands: int) -> np.ndarray | None:
         raw = text.encode("ascii")
     except UnicodeEncodeError:
         return None
-    if raw.translate(None, b" s0123456789^-"):  # a byte flat text never holds
-        return None
-    b = np.frombuffer(raw + b"  ", np.uint8)  # padded so each "s" has two bytes after it
+    b = np.frombuffer(raw + b"    ", np.uint8)  # padded so each "s" has four bytes after it
     at = np.flatnonzero(b == ord("s"))
-    index = b[at + 1] - np.uint8(ord("0"))  # wraps below "0", so one bound checks the digit
-    inverse = b[at + 2] == ord("^")
-    hats = raw.count(b"^")
-    if not (
-        len(raw) == raw.count(b" ") + 2 * len(at) + 3 * hats
-        and raw.count(b"^-1") == hats == np.count_nonzero(inverse)
-        and (index - np.uint8(1) < top).all()
-    ):
+    index = b[1:].take(at) - np.uint8(ord("0"))  # wraps below "0", so one bound checks the digit
+    inverse = ((b[2:-2] == ord("^")) & (b[3:-1] == ord("-")) & (b[4:] == ord("1"))).take(at)
+    spaces = np.count_nonzero(b == ord(" ")) - 4
+    if len(raw) != spaces + 2 * len(at) + 3 * np.count_nonzero(inverse):
         return None
-    codes = index.astype(np.intp)
-    np.negative(codes, out=codes, where=inverse)
-    return codes
+    if not (index - np.uint8(1) < top).all():
+        return None
+    sign = 1 - 2 * inverse.view(np.int8)
+    return (index.view(np.int8) * sign).astype(np.intp)
 
 
 # One match per token; its group is the token without the whitespace before
@@ -447,16 +462,44 @@ def free_reduce(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, free_reduce_codes(word.codes.tolist()))
 
 
-def table_product(table: np.ndarray, ids: np.ndarray) -> int:
-    """The product, in order, of group elements given by their ids in a Cayley
-    table (``table[g, h]`` is g h), reduced pairwise; the identity, id 0, when
-    there are none."""
-    while len(ids) > 1:  # an odd last element passes to the next round as it is
-        ids = np.concatenate((table[ids[:-1:2], ids[1::2]], ids[len(ids) & ~1 :]))
-    return int(ids[0]) if len(ids) else 0
+class _FiniteGroup(tuple):
+    """A ``finite_group``: the tuple (elements, table, letters).  Its Cayley
+    table as lists and its block table, which reads a stretch of letters L
+    at a time, are built on first use and kept with the group."""
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """The Cayley table as lists: ``rows[g][h]`` is g h."""
+        return self[1].tolist()
+
+    @cached_property
+    def block_letters(self) -> int:
+        """L: the most letters over the group's B = 2(n - 1) signed codes with B^L <= BLOCK_WORDS."""
+        base, size = len(self[2]) - 1, 1
+        while base ** (size + 1) <= BLOCK_WORDS:
+            size += 1
+        return size
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The digit of each signed code c at index c, the weight of each
+        letter of a block, and the element of every block.
+
+        A block's letters are digits base B, code c the digit
+        (c mod (B + 1)) - 1, with the first letter the most significant; the
+        table holds the element of every block in the order of their digits
+        and is built by one vectorised lookup per letter.
+        """
+        _, table, letters = self
+        base = len(letters) - 1
+        words = letters[1:]  # the element of each one-letter block, by digit
+        for _ in range(self.block_letters - 1):
+            words = table[words[:, None], letters[1:]].ravel()
+        weights = base ** np.arange(self.block_letters - 1, -1, -1)
+        return _frozen(np.arange(-1, base)), _frozen(weights), _frozen(words)
 
 
-def finite_group(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def finite_group(images: np.ndarray) -> _FiniteGroup:
     """The group made by the images of the signed letters 1..n-1, 1-n..-1: its
     elements (identity first), Cayley table (``table[g, h]`` is g h) and the
     element of each signed letter c at index c.  Each breadth-first layer is one matmul;
@@ -481,38 +524,77 @@ def finite_group(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     for h, (p, j) in enumerate(parents, start=1):
         table[:, h] = right[table[:, p], j]
     letters = np.concatenate(([0], right[0]))  # a negative code counts from the end
-    return _frozen(np.stack(elements)), _frozen(table), _frozen(letters)
+    return _FiniteGroup((_frozen(np.stack(elements)), _frozen(table), _frozen(letters)))
 
 
-def group_element(codes, runs, lo: int, hi: int, group, tally) -> tuple[int, object]:
+def table_product(group: _FiniteGroup, ids: np.ndarray) -> int:
+    """The product, in order, of group elements given by their ids; the
+    identity, id 0, when there are none.  While more than LOOP_IDS remain,
+    each round multiplies them in pairs by one take from the flat Cayley
+    table; the rest are folded left through ``group.rows``."""
+    table = group[1]
+    flat, order = table.ravel(), len(table)
+    while len(ids) > LOOP_IDS:  # an odd last element passes to the next round as it is
+        pairs = np.multiply(ids[:-1:2], order, dtype=np.intp)
+        pairs += ids[1::2]
+        ids = np.concatenate((flat.take(pairs), ids[len(ids) & ~1 :]))
+    rows, g = group.rows, 0
+    for h in ids.tolist():
+        g = rows[g][h]
+    return g
+
+
+def _power(group: _FiniteGroup, g: int, k: int) -> int:
+    """g^k in the group, by square-and-multiply in its Cayley table."""
+    rows, out = group.rows, 0
+    while k:
+        if k & 1:
+            out = rows[out][g]
+        g, k = rows[g][g], k >> 1
+    return out
+
+
+def _stretch_elements(group: _FiniteGroup, stretch: np.ndarray) -> np.ndarray:
+    """The element ids of a stretch of codes, in order: one per whole block
+    of ``group.block_letters`` letters, read in ``group.blocks``, then one
+    per letter left over."""
+    whole = len(stretch) - len(stretch) % group.block_letters
+    if not whole:
+        return group[2][stretch]
+    digits, weights, words = group.blocks
+    blocks = digits[stretch[:whole]].reshape(-1, len(weights)) @ weights
+    return np.concatenate((words.take(blocks), group[2][stretch[whole:]]))
+
+
+def group_element(codes, runs, lo: int, hi: int, group: _FiniteGroup, tally) -> tuple[int, object]:
     """The ``finite_group`` element of codes[lo:hi] and the sum of ``tally``
     over it.
 
     ``tally`` maps a stretch of codes to a quantity that adds up over the
     stretches of a word, such as its exponent sum or the count of each code;
     the sum is 0 on an empty span.  ``runs`` are the power runs of the span,
-    with starts relative to ``lo``.  A stretch of plain letters is one gather
-    of letter ids and one tally; a run is its period's element repeated
-    count % order times (Lagrange), and its period's tally count times.
+    with starts relative to ``lo``.  A stretch of plain letters is read in
+    blocks (``_stretch_elements``) with one tally; a run is its period's
+    element raised to count % order (Lagrange) by square-and-multiply, and
+    its period's tally count times.
     """
-    _, table, letters = group
     ids, total, at = [], 0, lo
     for start, period, count, inner in (*runs, (hi - lo, 0, 0, ())):  # then the tail
         start += lo
         if at < start:
             stretch = codes[at:start]
-            ids.append(letters[stretch])
+            ids.append(_stretch_elements(group, stretch))
             total += tally(stretch)
         if count:
             g, run_total = group_element(codes, inner, start, start + period, group, tally)
-            ids.append(np.full(count % len(table), g))
+            ids.append([_power(group, g, count % len(group[1]))])
             total += count * run_total
         at = start + period * count
-    return (table_product(table, np.concatenate(ids)) if ids else 0), total
+    return (table_product(group, np.concatenate(ids)) if ids else 0), total
 
 
 @functools.lru_cache(maxsize=TABLE_POINTS)
-def _symmetric_group(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _symmetric_group(points: int) -> _FiniteGroup:
     """S_points, the ``finite_group`` of its adjacent transpositions, each its own inverse."""
     eye = np.eye(points)
     swaps = [eye[[*range(i - 1), i, i - 1, *range(i + 1, points)]] for i in range(1, points)]

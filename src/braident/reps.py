@@ -39,8 +39,9 @@ one rounded element at any length.
 
 Every path reads the word's signed codes (``BraidWord.codes``, +i for s_i
 and -i for its inverse) by slices of one array, never its letters one by
-one: the group path takes each plain stretch's elements by one gather, and
-the float paths below take a stretch's codes as a list.
+one: the group path reads each plain stretch in blocks of letters through
+the group's block table (built on the first long stretch), and the float
+paths below take a stretch's codes as a list.
 
 Conventions.  Strand i acts on qubit i, the i-th tensor factor from the left
 (most significant index bit).  ``evaluate`` multiplies generator images in

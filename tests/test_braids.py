@@ -243,6 +243,30 @@ def spelled_texts(draw, strands=3):
     return text
 
 
+# Endings that leave flat text one step from flat.
+NEAR_FLAT_ENDINGS = ["s1^-", "s1^-11", "s10", "s0", "ss1", "\t", "\xa0", "σ1"]
+
+
+@st.composite
+def near_flat_texts(draw, strands):
+    """Flat text past SCAN_CHARS with one character replaced, or with a
+    near-flat ending at its end or after one of its spaces."""
+    tokens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        index = draw(st.integers(min_value=1, max_value=min(strands - 1, 9)))
+        tokens.append(f"s{index}{draw(st.sampled_from(['', '^-1']))}")
+    text = " ".join(tokens) + " "
+    text *= braids.SCAN_CHARS // len(text) + 1
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(text) - 1))
+        flipped = draw(st.sampled_from("s0123456789^-+() \t\xa0σx"))
+        return text[:at] + flipped + text[at + 1 :]
+    ending = draw(st.sampled_from(NEAR_FLAT_ENDINGS))
+    spaces = [i for i, ch in enumerate(text) if ch == " "]
+    at = draw(st.sampled_from([len(text), *spaces]))
+    return text[:at] + ending + text[at:]
+
+
 def grammar_parse(text, strands):
     """The token regex and the grammar alone, without the flat readings."""
     codes, runs, _ = braids._parse_sequence(braids._positioned(text), 0, 0, strands)
@@ -309,6 +333,19 @@ class TestFlatText:
     @given(st.text(alphabet="sσ0123^-+() \t\u3000x", max_size=30))
     def test_any_text_parses_as_the_grammar_does(self, text):
         assert outcome(parse_braid_word, text, 3) == outcome(grammar_parse, text, 3)
+
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda n: st.tuples(st.just(n), near_flat_texts(n))
+        )
+    )
+    @example((3, "s1 s2^-1 " * 100 + "s1^-"))
+    @example((3, "s1 s2^-1 " * 100 + "s1^-11"))
+    def test_near_flat_long_texts_parse_as_the_grammar_does(self, case):
+        # the byte scan's rejections: the same codes, or the same error at the same place
+        n, text = case
+        assert len(text) >= braids.SCAN_CHARS
+        assert outcome(parse_braid_word, text, n) == outcome(grammar_parse, text, n)
 
     @given(st.text(alphabet="sσ01239^-+() \t\x1c\u3000x", max_size=30), st.sampled_from([3, 11]))
     def test_any_long_text_parses_as_the_grammar_does(self, text, n):
