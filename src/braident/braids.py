@@ -4,7 +4,10 @@ A braid word over a fixed strand count is its codes: one read-only array of
 signed generator indices, ``BraidWord.codes``, +i for s_i and -i for s_i^-1.
 Construction checks the whole array, a short one in a Python loop and a long
 one by numpy reductions (``CHECK_LOOP_CODES``), and every layer
-(evaluation, the closure bookkeeping, the renderers) reads that array.
+(evaluation, the closure bookkeeping, the renderers) reads that array.  The
+parser is the one way in that skips the check: the flat readings and the
+grammar range-check each index as they read it, so it hands its fresh codes
+to the word already checked, and the word freezes them as they are.
 ``BraidWord.letters`` is a view derived from it on request, (index, sign)
 pairs, kept for the benchmark oracle (``perfbench/oracle.py``), which reads
 ``index * sign``.  The text grammar (whitespace between tokens is optional
@@ -121,7 +124,9 @@ class BraidWord:
     ``codes`` is any 1-D array-like of integers, each nonzero with absolute
     value at most strands - 1; the word keeps a read-only intp copy.  The
     empty word is the group identity.  Two words are equal when their
-    strands and codes are.
+    strands and codes are.  ``parse_braid_word`` alone builds a word
+    without this check or copy, from codes it has range-checked while
+    reading them; copies, pickles and ``dataclasses.replace`` check again.
 
     ``powers`` holds the runs of a parsed word, one per ``^k`` with |k| >= 2
     of a nonempty atom, as a tree.  A run ``(start, period, count, inner)``
@@ -130,7 +135,9 @@ class BraidWord:
     period of the run around it.  ``inner`` holds the runs inside that first
     period in the same form.  Only ``parse_braid_word`` sets them, and copies
     keep them; every other word has none, and they take no part in
-    comparison, hashing or rendering.
+    comparison, hashing or rendering.  Likewise ``reps.evaluate`` keeps the
+    word's element of the last finite image group it read it in, which
+    copies drop.
     """
 
     strands: int
@@ -198,6 +205,16 @@ def strand_count(strands) -> int:
 def _word_with_runs(strands: int, codes, powers: tuple) -> BraidWord:
     """The word with these codes and power runs."""
     word = BraidWord(strands, codes)
+    object.__setattr__(word, "powers", powers)
+    return word
+
+
+def _parsed_word(strands: int, codes: np.ndarray, powers: tuple = ()) -> BraidWord:
+    """The word of codes the parser has range-checked: a fresh 1-D intp array,
+    frozen as it is, with no second check and no copy."""
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "strands", strands)
+    object.__setattr__(word, "codes", _frozen(codes))
     object.__setattr__(word, "powers", powers)
     return word
 
@@ -396,11 +413,15 @@ def _parse_sequence(
             atom = np.tile(atom, k)
         # a group with no power: its top-level runs join this span
         runs += [(length + s, p, c, kids) for s, p, c, kids in inner]
-        pieces += (np.array(plain, np.intp), atom)
-        plain = []
-        length += len(atom)
-    pieces.append(np.array(plain, np.intp))
-    return np.concatenate(pieces), runs, pos
+        if plain:
+            pieces.append(np.array(plain, np.intp))
+            plain = []
+        if len(atom):
+            pieces.append(atom)
+            length += len(atom)
+    if plain or not pieces:
+        pieces.append(np.array(plain, np.intp))
+    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), runs, pos
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
@@ -419,9 +440,9 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     strands = strand_count(strands)
     codes = _flat_codes(text, strands)
     if codes is not None and len(codes) <= MAX_WORD_LETTERS:
-        return BraidWord(strands, codes)
+        return _parsed_word(strands, codes)
     codes, runs, _ = _parse_sequence(_positioned(text), 0, 0, strands)
-    return _word_with_runs(strands, codes, tuple(runs))
+    return _parsed_word(strands, codes, tuple(runs))
 
 
 def render_braid_word(word: BraidWord) -> str:

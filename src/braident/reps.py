@@ -35,7 +35,10 @@ and Lomonaco, quant-ph/0401090, on these Bell-basis changes).
 builder that also makes the symmetric group of a word's permutation image,
 and ``evaluate`` reads a word in it by ``braids.group_element``, which also
 sums the word's signs.  The image is e^{i theta e} M[g], e the exponent sum:
-one rounded element at any length.
+one rounded element at any length.  The word keeps (g, e) after that read,
+with the group object itself as the key, matched by identity, so reading
+the word again in the same group (``closure_check`` after ``evaluate``) is
+a lookup and one scalar multiply, with the same bits.
 
 Every path reads the word's signed codes (``BraidWord.codes``, +i for s_i
 and -i for its inverse) by slices of one array, never its letters one by
@@ -482,8 +485,13 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
         )
     d = rep.dimension
     if rep.phase is not None:
-        g, e = group_element(word.codes, word.powers, 0, len(word), rep.group, _sign_sum)
-        return np.exp(1j * rep.phase * e) * rep.group[0][g]
+        group = rep.group
+        read = getattr(word, "_group_read", None)
+        if read is None or read[0] is not group:
+            read = (group, *group_element(word.codes, word.powers, 0, len(word), group, _sign_sum))
+            object.__setattr__(word, "_group_read", read)
+        _, g, e = read
+        return np.exp(1j * rep.phase * e) * group[0][g]
     p = _product(rep, word.codes, word.powers, 0, len(word))
     if p is None:
         return np.eye(d, dtype=complex)
@@ -497,5 +505,9 @@ def closure_of(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> ClosureResult:
 
 
 def closure_check(rep: Representation, word: BraidWord, tol: float = DEFAULT_TOL) -> ClosureResult:
-    """Does the word evaluate to a phase times the identity (closable to a link)?"""
+    """Does the word evaluate to a phase times the identity (closable to a link)?
+
+    On b2, ge and jones a word that ``evaluate`` has read already costs no
+    second group read here: its element is kept on the word.
+    """
     return closure_of(evaluate(rep, word), tol)

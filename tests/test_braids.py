@@ -4,6 +4,7 @@ import gc
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -640,6 +641,7 @@ class TestCodes:
         n, text = case
         word = parse_braid_word(text, n)
         assert_codes(word)
+        assert word == BraidWord(n, word.codes)
         for derived in (inverse(word), free_reduce(word), concat(word, inverse(word))):
             assert_codes(derived)
 
@@ -647,6 +649,7 @@ class TestCodes:
     def test_flat_words(self, text):
         word = parse_braid_word(text, 12)
         assert_codes(word)
+        assert word == BraidWord(12, word.codes)
         assert_codes(inverse(word))
         assert_codes(free_reduce(word))
 
@@ -793,3 +796,124 @@ class TestPermutations:
         assert cycle_count(permutation_image(parse_braid_word("s1 s1", 2))) == 2
         assert cycle_count(permutation_image(parse_braid_word(BORROMEAN_TEXT, 3))) == 3
         assert cycle_count((2, 1, 3)) == 2
+
+
+def mirrored_runs(runs, length):
+    """Runs of a span of ``length`` letters, read in the inverted span."""
+    return tuple(
+        (length - s - p * c, p, c, mirrored_runs(kids, p)) for s, p, c, kids in reversed(runs)
+    )
+
+
+def reference_parse(text):
+    """The codes and power runs of ``powered_texts`` text, by a recursive
+    reading of its own: every ^k with |k| >= 2 of a nonempty atom is a run
+    whose first period holds the atom's runs, and ^-k inverts the atom."""
+    tokens = re.findall(r"s[0-9]+|[()]|\^-?[0-9]+", text)
+    pos = 0
+
+    def sequence():
+        nonlocal pos
+        codes, runs = [], []
+        while pos < len(tokens) and tokens[pos] != ")":
+            token = tokens[pos]
+            pos += 1
+            if token == "(":
+                atom, inner = sequence()
+                pos += 1  # the ")"
+            else:
+                atom, inner = [int(token[1:])], ()
+            k = 1
+            if pos < len(tokens) and tokens[pos][0] == "^":
+                k = int(tokens[pos][1:])
+                pos += 1
+            if k < 0:
+                atom, inner, k = [-c for c in reversed(atom)], mirrored_runs(inner, len(atom)), -k
+            if k >= 2 and atom:
+                runs.append((len(codes), len(atom), k, tuple(inner)))
+            elif k:
+                runs += [(len(codes) + s, p, c, kids) for s, p, c, kids in inner]
+            codes += atom * k
+        return codes, tuple(runs)
+
+    return sequence()
+
+
+def flat_text_of_length(chars):
+    """Flat text of exactly ``chars`` characters: letters, then spaces."""
+    text = "s1 s2^-1 " * (chars // 9)
+    return text + " " * (chars - len(text))
+
+
+def assert_checked_rebuild(word):
+    """The parsed word equals the word its codes build through every check,
+    and its codes are a 1-D read-only intp array."""
+    assert word == BraidWord(word.strands, word.codes)
+    assert word.codes.ndim == 1 and word.codes.dtype == np.intp
+    assert not word.codes.flags.writeable
+
+
+class TestParsedCodesAreHandedOver:
+    """The parser hands its range-checked codes to the word without a second
+    check or copy; every other way to a word checks them."""
+
+    @given(
+        st.integers(min_value=2, max_value=9).flatmap(
+            lambda n: st.tuples(st.just(n), powered_texts(n))
+        )
+    )
+    @example((3, "((s1 s2^-1)^3 s2)^-2 s1^0 () (s2)"))
+    @example((4, "(s3^-4 (s1 s2)^2)^-5 (s1)^-1"))
+    def test_powered_words_equal_their_checked_rebuild(self, case):
+        n, text = case
+        word = parse_braid_word(text, n)
+        assert_checked_rebuild(word)
+        codes, runs = reference_parse(text)
+        assert codes_of(word) == codes and word.powers == runs
+
+    @given(st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.tuples(st.just(n), near_flat_texts(n))
+    ))
+    @example((3, "s1 s3 " * 150))
+    @example((3, "s1 s0 " * 150))
+    @example((3, "s1 s3"))
+    @example((3, "(s1 s0)^2"))
+    def test_near_flat_words_equal_their_checked_rebuild(self, case):
+        n, text = case
+        try:
+            word = parse_braid_word(text, n)
+        except WordSyntaxError:
+            return
+        assert_checked_rebuild(word)
+
+    @pytest.mark.parametrize("chars", [braids.SCAN_CHARS - 1, braids.SCAN_CHARS])
+    def test_flat_words_on_both_sides_of_the_scan_length(self, chars):
+        text = flat_text_of_length(chars)
+        assert len(text) == chars
+        word = parse_braid_word(text, 3)
+        assert_checked_rebuild(word)
+        assert codes_of(word) == [1, -2] * (chars // 9) and word.powers == ()
+
+    def test_every_other_way_in_is_checked(self):
+        with pytest.raises(ValueError, match="generator code 3 out of range"):
+            BraidWord(3, [3])
+        word = parse_braid_word("(s1 s2^-1)^2", 3)
+        with pytest.raises(ValueError, match="generator code 0 out of range"):
+            dataclasses.replace(word, codes=[0])
+        bad = parse_braid_word("(s1 s2^-1)^2", 3)
+        object.__setattr__(bad, "codes", np.array([1, 0, 1, -2]))  # past the constructor
+        for rebuild in (copy.copy, copy.deepcopy, inverse, free_reduce, lambda w: concat(word, w)):
+            with pytest.raises(ValueError, match="generator code 0 out of range"):
+                rebuild(bad)
+        with pytest.raises(ValueError, match="generator code 3 out of range"):
+            pickle.loads(pickle.dumps(ForgedWord(3, np.array([1, 3]), ())))
+
+
+class ForgedWord:
+    """Pickles as the ``__reduce__`` tuple of a word with the given codes."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __reduce__(self):
+        return braids._word_with_runs, self.args

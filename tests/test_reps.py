@@ -1,4 +1,7 @@
+import copy
 import functools
+import gc
+import pickle
 import tracemalloc
 import warnings
 
@@ -24,6 +27,7 @@ from braident.reps import (
     WINDOW,
     b2_rep,
     closure_check,
+    closure_of,
     evaluate,
     ge_rep,
     generic_rep,
@@ -801,3 +805,51 @@ class TestRepresentationProperties:
             assert phase is not None
             assert wrapped_angle_distance(phase, 2 * k) < 1e-9
             assert wrapped_angle_distance(phase, 0.0) > 1e-3
+
+
+class TestOneGroupReadPerWord:
+    """A word keeps its finite-image element per group after the first read."""
+
+    TEXT = "(s1 s2)^31761 (s1 s2^-1)^5 s2"
+
+    def test_evaluate_then_closure_check_reads_the_group_once(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return group_element(*args)
+
+        group_element = reps.group_element
+        monkeypatch.setattr(reps, "group_element", spy)
+        rep, word = ge_rep(1.0), parse_braid_word(self.TEXT, 3)
+        matrix = evaluate(rep, word)
+        closure = closure_check(rep, word)
+        assert len(calls) == 1
+        assert closure == closure_of(matrix)
+        assert evaluate(rep, word).tobytes() == matrix.tobytes()
+        assert len(calls) == 1
+
+    def test_each_rep_gives_its_own_matrix(self):
+        word = parse_braid_word(self.TEXT, 3)
+        reps_ = (ge_rep(1.0), ge_rep(0.37), jones_rep())
+        for rep in reps_ + reps_:
+            fresh = evaluate(rep, parse_braid_word(self.TEXT, 3))
+            assert evaluate(rep, word).tobytes() == fresh.tobytes()
+        assert len({evaluate(rep, word).tobytes() for rep in reps_}) == 3
+
+    def test_a_new_rep_after_collection_reads_its_own_group(self):
+        word = parse_braid_word(self.TEXT, 3)
+        rep = ge_rep(0.37)
+        evaluate(rep, word)
+        del rep
+        gc.collect()
+        rep = jones_rep()
+        fresh = evaluate(rep, parse_braid_word(self.TEXT, 3))
+        assert evaluate(rep, word).tobytes() == fresh.tobytes()
+
+    def test_copies_and_pickles_give_equal_bytes(self):
+        rep, word = jones_rep(), parse_braid_word(self.TEXT, 3)
+        matrix = evaluate(rep, word)
+        for again in (copy.copy(word), copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+            assert evaluate(rep, again).tobytes() == matrix.tobytes()
+            assert closure_check(rep, again) == closure_of(matrix)
