@@ -2,8 +2,7 @@
 
 A braid word over a fixed strand count is its codes: one read-only array of
 signed generator indices, ``BraidWord.codes``, +i for s_i and -i for s_i^-1.
-Construction checks the whole array, a short one in a Python loop and a long
-one by numpy reductions (``CHECK_LOOP_CODES``), and every layer
+Construction checks the whole array by numpy reductions, and every layer
 (evaluation, the closure bookkeeping, the renderers) reads that array.  The
 parser is the one way in that skips the check: the flat readings and the
 grammar range-check each index as they read it, so it hands its fresh codes
@@ -96,11 +95,6 @@ BLOCK_WORDS = 2**16
 # faster of the two from about this many ids down.
 LOOP_IDS = 256
 
-# BraidWord checks the range of at most this many codes in one Python pass and
-# of more by three numpy reductions, which cost about 6 us however short the
-# array is.  The two met at 64-96 codes in timings of both.
-CHECK_LOOP_CODES = 64
-
 
 class WordSyntaxError(ValueError):
     """Malformed braid word text; carries the offending character position."""
@@ -151,12 +145,8 @@ class BraidWord:
             got = reprlib.repr(self.codes)
             raise ValueError(f"braid word codes must be a 1-D array of integers, got {got}")
         top = self.strands - 1
-        long = len(codes) > CHECK_LOOP_CODES
-        if long and -top <= codes.min() and codes.max() <= top and codes.all():
-            bad = None
-        else:
-            bad = next((c for c in codes.tolist() if not 0 < abs(c) <= top), None)
-        if bad is not None:
+        if len(codes) and not (-top <= codes.min() and codes.max() <= top and codes.all()):
+            bad = next(c for c in codes.tolist() if not 0 < abs(c) <= top)  # name the first bad code
             raise ValueError(
                 f"generator code {bad} out of range for {self.strands} strands "
                 f"(nonzero, |code| <= {top})"

@@ -153,6 +153,14 @@ def _rep(args) -> Representation:
     return REP_BUILDERS[args.rep](args.theta)
 
 
+def _faithfulness(rep: Representation) -> str:
+    """When the named image is faithful, read from its strand count alone."""
+    if rep.strands == 2:
+        return "exactly when theta/pi is irrational (B2 is Z; the unphased generator squares to I)"
+    return ("at no theta (B3's commutator subgroup is infinite and takes no phase; "
+            "the unphased image is finite)")
+
+
 def cmd_relations(args) -> tuple[dict, int]:
     rep = _rep(args)
     report = verify_relations(rep, args.tol)
@@ -165,6 +173,7 @@ def cmd_relations(args) -> tuple[dict, int]:
         "braiding": [{"i": i, "residual": r} for i, r in report.braiding_residuals],
         "max_residual": report.max_residual,
         "tolerance": report.tolerance,
+        "faithful": _faithfulness(rep),
         "passed": report.passed,
     }
     return doc, 0 if report.passed else 1
@@ -183,6 +192,7 @@ def _relations_text(doc: dict):
         i = r["i"]
         yield f"braiding s{i} s{i+1} s{i} vs s{i+1} s{i} s{i+1}: residual {r['residual']:.3e}"
     yield f"max residual: {doc['max_residual']:.3e} (tolerance {doc['tolerance']:g})"
+    yield f"faithful: {doc['faithful']}"
     yield f"result: {'PASS' if doc['passed'] else 'FAIL'}"
 
 
@@ -538,7 +548,12 @@ def _is_number(token: str) -> bool:
 
 
 def main(argv=None) -> int:
-    """Run one command and print its document; warnings become one stderr line each."""
+    """Run one command and print its document, or one ``error:`` line and exit 2.
+
+    Warnings are caught while a command runs, so a factor or state file of
+    1e308 entries, on which numpy warns of overflow in matmul (lu-check) or
+    dot (entangle), still prints one ``error:`` line; a run that succeeds
+    prints each warning as one ``warning:`` line."""
     args = build_parser().parse_args(_bind_theta(sys.argv[1:] if argv is None else list(argv)))
     for name, value in vars(args).items():
         if value == []:  # argparse drops the "--" of "--word=--" and leaves an empty list

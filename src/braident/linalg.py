@@ -1,7 +1,8 @@
 """The unitarity check, phase-insensitive matrix comparison and Haar sampling.
 
-Everything else in the package calls numpy directly.  ``is_unitary`` checks
-that its input is a square matrix because it validates user-supplied factors.
+Everything else in the package calls numpy directly.  No module calls
+``is_unitary`` (``states.apply_local`` checks its factors itself); it serves
+library callers and the tests, and raises on a non-square input.
 """
 
 from __future__ import annotations

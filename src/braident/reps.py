@@ -31,6 +31,9 @@ Finite images.  With e^{i theta} taken out (theta is 0 on jones), the
 generators of b2, ge and jones make finite groups of order 2, 48 and 192
 (Jones, Ann. Math. 126, 1987, on roots of unity with finite image; Kauffman
 and Lomonaco, quant-ph/0401090, on these Bell-basis changes).
+So b2 is faithful exactly when theta/pi is irrational, and ge and jones
+are faithful at no theta: B3's commutator subgroup is infinite and has
+exponent sum 0, so its image lies in the finite group.
 ``Representation.group`` is ``braids.finite_group`` of those generators, the
 builder that also makes the symmetric group of a word's permutation image,
 and ``evaluate`` reads a word in it by ``braids.group_element``, which also
@@ -82,10 +85,8 @@ Such a word can differ from the left fold of its letters in the last bits.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
@@ -291,48 +292,37 @@ def _assemble(
     return rep
 
 
-def _warn_if_rational_angle(theta: float) -> None:
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    # Irrationality of theta/pi is not machine checkable; flag small rationals.
-    ratio = Fraction(theta / math.pi)  # exact, so the gap below is not rounded
-    approx = ratio.limit_denominator(1000)
-    if abs(ratio - approx) < 1e-12:
-        warnings.warn(
-            f"theta = {approx}*pi is a rational multiple of pi; the generator image has "
-            "finite order up to phase, so distinct braid words can collapse to the same "
-            "operator. Choose an irrational multiple of pi for a faithful action.",
-            UserWarning,
-            stacklevel=3,
-        )
-
-
 # The integer cores of the 4x4 generators, each phased by e^{i theta}/sqrt 2.
 B2_CORE = _frozen(np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]))
 YANG_BAXTER_CORE = _frozen(np.array([[1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]))
 
 
+def _phased(core: np.ndarray, theta: float) -> np.ndarray:
+    """(e^{i theta}/sqrt 2) core, checked before e^{i theta} is formed: numpy
+    warns on e^{i inf} and returns NaN."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    return np.exp(1j * theta) / math.sqrt(2) * core
+
+
 def b2_generator(theta: float) -> np.ndarray:
     """The phased 4x4 Bell generator of the two-strand representation."""
-    return np.exp(1j * theta) / math.sqrt(2) * B2_CORE
+    return _phased(B2_CORE, theta)
 
 
 def yang_baxter_unitary(theta: float) -> np.ndarray:
     """The phased 4x4 Yang-Baxter solution used by the three-strand product rep."""
-    return np.exp(1j * theta) / math.sqrt(2) * YANG_BAXTER_CORE
+    return _phased(YANG_BAXTER_CORE, theta)
 
 
 def b2_rep(theta: float = DEFAULT_THETA) -> Representation:
     """Two-strand representation on two qubits; no braiding relation applies."""
-    _warn_if_rational_angle(theta)
     blocks = [(b2_generator(theta), 1)]
     return _assemble("b2", 2, blocks, {"theta": theta}, require_braiding=True, phase=theta)
 
 
 def ge_rep(theta: float = DEFAULT_THETA) -> Representation:
     """Three-strand product representation sigma_1 = U(x)I, sigma_2 = I(x)U."""
-    if not math.isfinite(theta):  # no angle warns: the unphased image has order 48 at all
-        raise ValueError(f"theta must be finite, got {theta}")
     u = yang_baxter_unitary(theta)
     blocks = [(np.kron(u, _I2), 1), (np.kron(_I2, u), 1)]
     return _assemble("ge", 3, blocks, {"theta": theta}, require_braiding=True, phase=theta)

@@ -49,7 +49,7 @@ class PureState:
             )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"state is not normalized: |amplitudes| = {norm!r}")
+            raise ValueError(f"state is not normalized: |amplitudes| = {float(norm)}")
         object.__setattr__(self, "amplitudes", _freeze(amps.copy()))
 
 
@@ -99,7 +99,7 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian within tolerance")
         trace = np.trace(m)
         if abs(trace.real - 1.0) > NORM_TOL or abs(trace.imag) > NORM_TOL:
-            raise ValueError(f"density matrix trace is not 1: {trace!r}")
+            raise ValueError(f"density matrix trace is not 1: {complex(trace)}")
         if np.linalg.eigvalsh(m)[0] < -NORM_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", _freeze(m.copy()))
@@ -159,7 +159,7 @@ def apply(operator, state: PureState) -> PureState:
     out = m @ state.amplitudes
     norm = np.linalg.norm(out)
     if not abs(norm - 1.0) <= DRIFT_TOL:  # NaN fails too
-        raise ValueError(f"operator is not norm preserving (output norm {norm!r})")
+        raise ValueError(f"operator is not norm preserving (output norm {float(norm)})")
     out /= norm
     result = object.__new__(PureState)
     object.__setattr__(result, "qubits", state.qubits)

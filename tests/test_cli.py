@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braident.cli import entry, main
+from braident import cli
+from braident.cli import cmd_render, entry, main
+from exactgroups import exact_group
 
 
 def run_json(capsys, argv):
@@ -56,6 +59,23 @@ class TestRelations:
         out = capsys.readouterr().out
         assert code == 0
         assert "result: PASS" in out
+
+    @pytest.mark.parametrize("rep", ["b2", "ge", "jones"])
+    def test_faithfulness_follows_the_exact_group(self, capsys, rep):
+        # the unphased image is finite (tests/exactgroups.py).  On 2 strands its
+        # generator squares to I and is no scalar, so s1^(2q) is I exactly when
+        # theta = p pi / q; on 3 strands B3's infinite commutator subgroup, whose
+        # words have exponent sum 0 and so no phase, lands in it
+        group = exact_group(rep)
+        assert len(group.elements) == {"b2": 2, "ge": 48, "jones": 192}[rep]
+        statement = (
+            "exactly when theta/pi is irrational" if rep == "b2" else "at no theta"
+        )
+        code, doc = run_json(capsys, ["relations", "--rep", rep, "--format", "json"])
+        assert code == 0 and doc["faithful"].startswith(statement + " (")
+        main(["relations", "--rep", rep])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [f"faithful: {doc['faithful']}", "result: PASS"]
 
 
 class TestEval:
@@ -144,21 +164,34 @@ class TestEval:
             lines = capsys.readouterr().err.splitlines()
             assert lines == [f"error: theta must be finite, got {float(theta)}"]
 
-    def test_rational_theta_warns_on_one_line(self, capsys):
-        code = main(["eval", "--rep", "b2", "--word", "s1", "--theta", "0"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.out.startswith("word: s1  [b2, 4x4]")
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("warning: theta = 0*pi is a rational multiple of pi;")
 
-    def test_input_error_after_a_warning_prints_only_the_error(self, capsys):
-        code = main(["eval", "--rep", "b2", "--theta", "0", "--word", "x"])
+class TestWarningCapture:
+    def test_a_warning_of_a_run_that_succeeds_prints_on_one_line(self, monkeypatch, capsys):
+        def warning_render(args):
+            warnings.warn("from the command", UserWarning)
+            return cmd_render(args)
+
+        argv = ["render", "--word", "s1", "--strands", "2"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_render", warning_render)
+        assert main(argv) == 0
         captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert_one_error_line(captured.err)
+        assert quiet.err == "" and captured.out == quiet.out
+        assert captured.err == "warning: from the command\n"
+
+    def test_overflow_warnings_of_a_failing_run_leave_one_error_line(self, capsys, tmp_path):
+        # numpy warns "overflow encountered in matmul" on these factors and
+        # "overflow encountered in dot" on this state
+        factors = [[[1e308, 0.0], [1e308, 0.0]]] * 2
+        state = {"qubits": 3, "amplitudes": [[1e308, 0.0]] * 8}
+        for argv, document in ((FACTORS_OPTION, factors), (STATE_OPTION, state)):
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(document))
+            code = main(argv + [f"@{path}"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert_one_error_line(captured.err)
 
 
 class TestEntangle:
@@ -243,6 +276,13 @@ class TestEntangle:
         assert doc["matched_state"] == "phi"
         assert main(argv) == 0
         assert "matched named state: phi\n" in capsys.readouterr().out
+
+    def test_unnormalized_state_file_names_its_norm_as_a_float(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"qubits": 2, "amplitudes": [[1.0, 0.0]] * 4}))
+        assert main(["entangle", "--rep", "b2", "--word", "s1", "--state", f"@{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: state is not normalized: |amplitudes| = 2.0\n"
 
     def test_state_qubit_mismatch_exits_2(self, capsys):
         code = main(["entangle", "--rep", "b2", "--word", "s1", "--state", "000"])

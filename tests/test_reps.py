@@ -47,10 +47,13 @@ BORROMEAN = "(s1 s2^-1)^3"
 NUS = "(s1 s2)^3"
 
 
-def quiet_rep(builder, *args):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return builder(*args)
+def unphased_order(name, code):
+    """The order of a letter's element in the exact group of ``tests/exactgroups.py``."""
+    group = exact_group(name)
+    g, k = group.letters[code], 1
+    while g != 0:
+        g, k = group.right[g][code], k + 1
+    return k
 
 
 def wrapped_angle_distance(a, b):
@@ -82,7 +85,7 @@ def assert_exact_image(rep, word):
 class TestB2Rep:
     def test_generator_square_is_phase(self):
         for theta in (0.0, np.pi / 4):
-            rep = quiet_rep(b2_rep, theta)
+            rep = b2_rep(theta)
             m = rep.generator_images[0]
             assert np.allclose(m @ m, np.exp(2j * theta) * I4, atol=1e-12)
 
@@ -91,26 +94,30 @@ class TestB2Rep:
         assert rep.parameters["theta"] == 1.0
         assert is_unitary(rep.generator_images[0], 1e-12)
 
-    def test_rational_angle_warns(self):
-        for theta, fraction in (
-            (0.0, "0"),
-            (np.pi / 4, "1/4"),
-            (np.pi, "1"),
-            (np.pi / 3, "1/3"),
-            (2 * np.pi / 7, "2/7"),
-            (1e4 * np.pi, "10000"),
-            ((5000 + 1 / 3) * np.pi, "15001/3"),
-        ):
-            with pytest.warns(UserWarning, match=rf"^theta = {fraction}\*pi is a rational multiple of pi"):
-                b2_rep(theta)
+    RATIONAL_ANGLES = ((0, 1), (1, 4), (1, 1), (1, 3), (2, 7), (-5, 12), (3, 1000))
 
-    def test_irrational_angle_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            b2_rep(1.0)
-            ge_rep(0.37)
-            # 1e11/pi lies 5.1e-7 from the nearest fraction with denominator <= 1000
-            b2_rep(1e11)
+    def test_rational_angle_gives_finite_order(self):
+        # at theta = p pi / q, s1^(2q) is e^{2 p pi i} (B2_CORE/sqrt 2)^(2q) = I
+        for p, q in self.RATIONAL_ANGLES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = b2_rep(p * np.pi / q)
+            word = parse_braid_word(f"s1^{2 * q}", 2)
+            assert np.max(np.abs(evaluate(rep, word) - I4)) <= 1e-12
+
+    def test_irrational_angle_keeps_the_powers_apart(self):
+        # at theta = 1, s1^(2q) is e^{2qi} I, which is I for no q; of these
+        # powers, s1^44 comes nearest, at 44 - 14 pi = 0.018
+        rep = b2_rep(1.0)
+        for _, q in self.RATIONAL_ANGLES + ((0, 22),):
+            m = evaluate(rep, parse_braid_word(f"s1^{2 * q}", 2))
+            assert np.max(np.abs(m - I4)) > 1e-2
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_raises_without_a_warning(self, theta):
+        for builder in (b2_rep, ge_rep):
+            with pytest.raises(ValueError, match=f"^theta must be finite, got {theta}$"):
+                builder(theta)
 
     def test_vacuous_relations(self):
         report = verify_relations(b2_rep(1.0))
@@ -135,19 +142,20 @@ class TestGeRep:
         assert is_unitary(rep.generator_images[0], 1e-12)
         assert is_unitary(rep.generator_images[1], 1e-12)
 
-    def test_no_angle_warns_since_none_is_faithful(self):
-        # the unphased image is a group of order 48 at every angle, so at the
-        # default angle (s1 s2^-1)^6 closes, though it has infinite order in B3
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for theta in (0.0, np.pi / 4, 1.0):
-                ge_rep(theta)
+    def test_no_angle_is_faithful(self):
+        # s1 and s2 are conjugate in B3, so both unphased images have the order
+        # k of s1's in the exact group; s1^k s2^-k has exponent sum 0, so it
+        # evaluates to I at every angle, though it is not the identity braid
+        for rep, k in [(ge_rep(theta), 8) for theta in (0.0, np.pi / 4, 1.0)] + [(jones_rep(), 16)]:
+            assert unphased_order(rep.name, 1) == k
+            word = parse_braid_word(f"s1^{k} s2^-{k}", 3)
+            assert np.max(np.abs(evaluate(rep, word) - I8)) <= 1e-12
         assert closure_check(ge_rep(1.0), parse_braid_word("(s1 s2^-1)^6", 3)).closes
 
     def test_nus_word_closes_with_phase(self):
         # (sigma_1 sigma_2)^3 = -e^{6 i theta} I
         for theta in (1.0, 0.37):
-            rep = quiet_rep(ge_rep, theta)
+            rep = ge_rep(theta)
             result = closure_check(rep, parse_braid_word(NUS, 3), 1e-10)
             assert result.closes
             assert wrapped_angle_distance(result.phase, 6 * theta + np.pi) < 1e-10
@@ -690,7 +698,7 @@ class TestClosurePhase:
     @example(1.0, 20000)
     @settings(deadline=None)
     def test_ge_nus_powers(self, theta, m):
-        rep = quiet_rep(ge_rep, theta)
+        rep = ge_rep(theta)
         self.assert_closes_with_phase(rep, f"(s1 s2)^{3 * m}", 6 * m * theta + m * np.pi)
 
     @given(st.integers(min_value=1, max_value=5000))
@@ -711,7 +719,7 @@ class TestEvaluate:
         assert np.allclose(evaluate(jones_rep(), BraidWord(3)), I8)
 
     def test_b2_square_at_zero_angle(self):
-        rep = quiet_rep(b2_rep, 0.0)
+        rep = b2_rep(0.0)
         assert np.allclose(evaluate(rep, parse_braid_word("s1 s1", 2)), I4, atol=1e-13)
 
     def test_inverse_pair_cancels_exactly(self):

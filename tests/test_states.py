@@ -82,13 +82,13 @@ class TestConstruction:
             named_state("w")
 
     def test_normalization_enforced(self):
-        with pytest.raises(ValueError, match="not normalized"):
+        with pytest.raises(ValueError, match=r"not normalized: \|amplitudes\| = 1\.414"):
             PureState(1, np.array([1.0, 1.0]))
 
     def test_density_matrix_validation(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(1, np.array([[0.5, 0.5], [0.0, 0.5]]))
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match=r"trace is not 1: \(2\+0j\)$"):
             DensityMatrix(1, np.eye(2))
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(1, np.diag([1.5, -0.5]))
@@ -166,7 +166,7 @@ class TestApply:
                 apply(u * (1 + 2e-8), state)
             nan = u.copy()
             nan[0, 0] = np.nan
-            with pytest.raises(ValueError, match=r"output norm np\.float64\(nan\)"):
+            with pytest.raises(ValueError, match=r"\(output norm nan\)$"):
                 apply(nan, state)
 
     def test_word_then_inverse_restores_state(self):
