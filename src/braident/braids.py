@@ -510,20 +510,22 @@ class _FiniteGroup(tuple):
         return _frozen(np.arange(-1, base)), _frozen(weights), _frozen(words)
 
 
+def element_keys(a: np.ndarray) -> np.ndarray:
+    """The entries of complex matrices in quarters, real and imaginary parts
+    apart: finer than the 0.5 between the elements of a ``finite_group``."""
+    return np.rint(4 * a.view(float)).astype(np.int8)
+
+
 def finite_group(images: np.ndarray) -> _FiniteGroup:
     """The group made by the images of the signed letters 1..n-1, 1-n..-1: its
     elements (identity first), Cayley table (``table[g, h]`` is g h) and the
     element of each signed letter c at index c.  Each breadth-first layer is one matmul;
     the column of h = p l, p its parent, is p's column times l."""
-
-    def keys_of(a: np.ndarray) -> np.ndarray:  # quarters: finer than the 0.5 between elements
-        return np.rint(4 * a.view(float)).astype(np.int8)
-
     elements, parents, right = [np.eye(images.shape[-1], dtype=images.dtype)], [], []
-    keys = {keys_of(elements[0]).tobytes(): 0}
+    keys = {element_keys(elements[0]).tobytes(): 0}
     while len(right) < len(elements):  # one breadth-first layer per pass
         layer = np.matmul(np.stack(elements[len(right) :])[:, None], images)
-        for row, row_keys in zip(layer, keys_of(layer)):
+        for row, row_keys in zip(layer, element_keys(layer)):
             right.append([keys.setdefault(key.tobytes(), len(keys)) for key in row_keys])
             for j, h in enumerate(right[-1]):
                 if h == len(elements):

@@ -40,7 +40,7 @@ from .reps import (
     DEFAULT_THETA,
     Representation,
     b2_rep,
-    closure_of,
+    closure_check,
     evaluate,
     ge_rep,
     jones_rep,
@@ -206,7 +206,7 @@ def cmd_eval(args) -> tuple[dict, int]:
         "word": render_braid_word(word),
         "strands": word.strands,
         "matrix": matrix,
-        "closure": closure_of(matrix, args.tol),
+        "closure": closure_check(rep, word),
     }
     return doc, 0
 
@@ -447,7 +447,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, rep: bool = False, word: bool = False):
+def _add_common(
+    parser: argparse.ArgumentParser, rep: bool = False, word: bool = False, tol: bool = False
+):
     if rep:
         parser.add_argument(
             "--rep", required=True, choices=sorted(REP_BUILDERS),
@@ -458,10 +460,11 @@ def _add_common(parser: argparse.ArgumentParser, rep: bool = False, word: bool =
             "--theta", type=float, default=DEFAULT_THETA,
             help="phase angle in radians for the b2/ge families (default 1.0)",
         )
+    if tol:
         parser.add_argument(
             "--tol", type=_positive_float, default=DEFAULT_TOL,
-            help="tolerance on relation residuals, on closure (eval), and on "
-            "1 - |<name|out>| of the closest named state (entangle)",
+            help="tolerance on relation residuals (relations) and on 1 - |<name|out>| "
+            "of the closest named state (entangle)",
         )
     if word:
         parser.add_argument("--word", required=True, help='braid word, e.g. "(s1 s2)^3"')
@@ -479,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("relations", help="verify the defining relations of a representation")
-    _add_common(p, rep=True)
+    _add_common(p, rep=True, tol=True)
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("eval", help="evaluate a braid word to a unitary and check closure")
@@ -487,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("entangle", help="apply a braid word to a state and analyze the result")
-    _add_common(p, rep=True, word=True)
+    _add_common(p, rep=True, word=True, tol=True)
     p.add_argument(
         "--state", default=None,
         help='input state: a bit string like "000" or @file.json (default: all zeros)',

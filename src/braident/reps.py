@@ -41,7 +41,12 @@ sums the word's signs.  The image is e^{i theta e} M[g], e the exponent sum:
 one rounded element at any length.  The word keeps (g, e) after that read,
 with the group object itself as the key, matched by identity, so reading
 the word again in the same group (``closure_check`` after ``evaluate``) is
-a lookup and one scalar multiply, with the same bits.
+a lookup.  Closure is decided there exactly, with no tolerance: the image
+is a phase times I iff g is zeta^k I, zeta = e^{i pi/4}, which
+``Representation.scalars`` lists once per group (1 of 2 elements on b2,
+2 of 48 on ge, 8 of 192 on jones), and the phase is theta e + k pi/4.
+"Central" would not do: b2's generator is central in {I, B} but not a
+scalar.  Only ``generic_rep`` words are judged in floats, at a tolerance.
 
 Every path reads the word's signed codes (``BraidWord.codes``, +i for s_i
 and -i for its inverse) by slices of one array, never its letters one by
@@ -84,13 +89,21 @@ Such a word can differ from the left fold of its letters in the last bits.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .braids import BraidWord, finite_group, free_reduce_codes, group_element, strand_count
+from .braids import (
+    BraidWord,
+    element_keys,
+    finite_group,
+    free_reduce_codes,
+    group_element,
+    strand_count,
+)
 from .linalg import DEFAULT_TOL, equal_up_to_phase
 
 DEFAULT_THETA = 1.0  # 1/pi is irrational, so b2 is faithful at the default angle
@@ -103,6 +116,9 @@ SEGMENT = 256
 WINDOW = 3
 
 _I2 = np.eye(2, dtype=complex)
+
+# zeta^k for zeta = e^{i pi/4}, the even powers exact
+_ZETA = tuple(1j ** (k // 2) * ((1 + 1j) / math.sqrt(2) if k % 2 else 1) for k in range(8))
 
 
 @dataclass(frozen=True)
@@ -140,6 +156,17 @@ class Representation:
         element of each signed letter c at index c."""
         unphased = np.exp(-1j * self.phase) * np.stack([block for block, _ in self.blocks])
         return finite_group(np.concatenate((unphased, unphased[::-1].conj().transpose(0, 2, 1))))
+
+    @cached_property
+    def scalars(self) -> dict[int, int]:
+        """k for each element of ``group`` that is zeta^k I, zeta = e^{i pi/4}:
+        the element's quarter-rounded key (``braids.element_keys``, the keys that
+        tell the group's elements apart) equals that of zeta^k I."""
+        elements = self.group[0]
+        powers = np.array(_ZETA)[:, None, None] * np.eye(self.dimension)
+        keys = element_keys(elements).reshape(len(elements), 1, -1)
+        g, k = np.nonzero((keys == element_keys(powers).reshape(8, -1)).all(axis=-1))
+        return dict(zip(g.tolist(), k.tolist()))
 
     @cached_property
     def relation_report(self) -> RelationReport:
@@ -273,16 +300,21 @@ def _assemble(
     A k x k block passes when sqrt(d/k) ||B B^dag - I||_F <= DEFAULT_TOL on a
     d-dimensional register: the register operator repeats the block d/k
     times, so this is the Frobenius quantity of the dense unitarity check.
+    A block object given for several generators is checked and frozen once,
+    and they share the frozen array.
     """
     d = 2**strands
+    checked: dict[int, np.ndarray] = {}  # id of a given block -> its frozen copy
     frozen = []
     for i, (block, first) in enumerate(blocks, start=1):
-        block = _frozen(np.array(block, dtype=complex))
-        k = len(block)
-        defect = np.linalg.norm(block @ block.conj().T - np.eye(k, dtype=complex))
-        if not math.sqrt(d / k) * defect <= DEFAULT_TOL:
-            raise ValueError(f"image of generator {i} is not unitary within {DEFAULT_TOL}")
-        frozen.append((block, first))
+        if id(block) not in checked:
+            copy = _frozen(np.array(block, dtype=complex))
+            k = len(copy)
+            defect = np.linalg.norm(copy @ copy.conj().T - np.eye(k, dtype=complex))
+            if not math.sqrt(d / k) * defect <= DEFAULT_TOL:
+                raise ValueError(f"image of generator {i} is not unitary within {DEFAULT_TOL}")
+            checked[id(block)] = copy
+        frozen.append((checked[id(block)], first))
     rep = Representation(name, strands, d, tuple(frozen), parameters, phase)
     if require_braiding and not rep.relation_report.passed:
         raise ValueError(
@@ -458,6 +490,25 @@ def _sign_sum(codes: np.ndarray) -> int:
     return int(np.sign(codes).sum())
 
 
+def _check_strands(rep: Representation, word: BraidWord) -> None:
+    if word.strands != rep.strands:
+        raise ValueError(
+            f"word is over {word.strands} strands but representation {rep.name!r} "
+            f"has {rep.strands}"
+        )
+
+
+def _group_read(rep: Representation, word: BraidWord) -> tuple[int, int]:
+    """The word's element g of ``rep.group`` and its exponent sum e, read once
+    per group and kept on the word."""
+    group = rep.group
+    read = getattr(word, "_group_read", None)
+    if read is None or read[0] is not group:
+        read = (group, *group_element(word.codes, word.powers, 0, len(word), group, _sign_sum))
+        object.__setattr__(word, "_group_read", read)
+    return read[1:]
+
+
 def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     """Evaluate a braid word to the product of generator images in written order.
 
@@ -468,20 +519,11 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     finite image group; elsewhere the evaluation plan of the module docstring
     applies.
     """
-    if word.strands != rep.strands:
-        raise ValueError(
-            f"word is over {word.strands} strands but representation {rep.name!r} "
-            f"has {rep.strands}"
-        )
+    _check_strands(rep, word)
     d = rep.dimension
     if rep.phase is not None:
-        group = rep.group
-        read = getattr(word, "_group_read", None)
-        if read is None or read[0] is not group:
-            read = (group, *group_element(word.codes, word.powers, 0, len(word), group, _sign_sum))
-            object.__setattr__(word, "_group_read", read)
-        _, g, e = read
-        return np.exp(1j * rep.phase * e) * group[0][g]
+        g, e = _group_read(rep, word)
+        return np.exp(1j * rep.phase * e) * rep.group[0][g]
     p = _product(rep, word.codes, word.powers, 0, len(word))
     if p is None:
         return np.eye(d, dtype=complex)
@@ -497,7 +539,20 @@ def closure_of(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> ClosureResult:
 def closure_check(rep: Representation, word: BraidWord, tol: float = DEFAULT_TOL) -> ClosureResult:
     """Does the word evaluate to a phase times the identity (closable to a link)?
 
-    On b2, ge and jones a word that ``evaluate`` has read already costs no
-    second group read here: its element is kept on the word.
+    On b2, ge and jones the answer is exact and ``tol`` is not read: the
+    word's image is e^{i theta e} times its group element g, which is a
+    phase times I exactly when g is zeta^k I (``Representation.scalars``).
+    The phase is theta e + k pi/4, wrapped into [-pi, pi).  A word that
+    ``evaluate`` has read already costs no second group read: its element
+    is kept on the word.  Elsewhere the evaluated matrix is judged by
+    ``closure_of`` at ``tol``.
     """
-    return closure_of(evaluate(rep, word), tol)
+    if rep.phase is None:
+        return closure_of(evaluate(rep, word), tol)
+    _check_strands(rep, word)
+    g, e = _group_read(rep, word)
+    k = rep.scalars.get(g)
+    if k is None:
+        return ClosureResult(False, None)
+    phase = cmath.phase(cmath.exp(1j * rep.phase * e) * _ZETA[k])
+    return ClosureResult(True, -math.pi if phase == math.pi else phase)

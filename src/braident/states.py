@@ -167,6 +167,12 @@ def apply(operator, state: PureState) -> PureState:
     return result
 
 
+def _shown(value) -> str:
+    """repr of a value, a numpy scalar shown as the Python value it holds, so
+    that a message reads the same on numpy 1.x and 2.x."""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
 def measure_qubit(state: PureState, k: int, outcome: int) -> MeasurementOutcome:
     """Project qubit k onto |outcome> and drop it from the register.
 
@@ -180,11 +186,11 @@ def measure_qubit(state: PureState, k: int, outcome: int) -> MeasurementOutcome:
     try:
         k = index(k)
     except TypeError:
-        raise ValueError(f"qubit index must be an integer, got {k!r}") from None
+        raise ValueError(f"qubit index must be an integer, got {_shown(k)}") from None
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+        raise ValueError(f"outcome must be 0 or 1, got {_shown(outcome)}")
     branch = state.amplitudes.reshape([2] * n).take(outcome, axis=k - 1).reshape(-1)
     probability = float(np.linalg.norm(branch) ** 2)
     if probability < PROB_FLOOR:

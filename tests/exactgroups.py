@@ -72,6 +72,19 @@ def key(x) -> tuple[bytes, int]:
     return x[0].tobytes(), x[1]
 
 
+def scalar_power(x) -> int | None:
+    """k when x is e^{i k pi/4} = zeta^(2k) times the identity, else None."""
+    coeffs, k = x
+    if k:
+        return None
+    eye = np.eye(len(coeffs), dtype=np.int64)[..., None]
+    for p in range(8):
+        zeta_2p = ZETA[2 * p] if p < 4 else -ZETA[2 * p - 8]
+        if np.array_equal(coeffs, eye * zeta_2p):
+            return p
+    return None
+
+
 def kron(x, y):
     (a, i), (b, j) = x, y
     out = np.einsum("ija,klb,abc->ikjlc", a, b, _MUL).reshape(len(a) * len(b), -1, 8)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from braident.reps import b2_rep, ge_rep, jones_rep
-from exactgroups import exact_group
+from exactgroups import exact_group, scalar_power
 
 ORDERS = {"b2": 2, "ge": 48, "jones": 192}
 BUILDERS = {"b2": lambda: b2_rep(1.0), "ge": lambda: ge_rep(0.3), "jones": jones_rep}
@@ -36,15 +36,34 @@ def test_closing_words_are_minus_identity_exactly():
         assert group.element([1, 2, 1]) == group.element([2, 1, 2])  # the braid relation
 
 
+def nearest_exact(exact, elements):
+    """The exact element nearest each float one, and its distance."""
+    matrices = np.stack([exact.matrix(g) for g in range(len(exact.elements))])
+    # distinct elements differ by at least 0.5 in some entry, so the nearest one is it
+    distance = np.abs(elements[:, None] - matrices[None]).max(axis=(2, 3))
+    return distance.argmin(axis=1), distance.min(axis=1)
+
+
 @pytest.fixture(scope="module", params=sorted(ORDERS))
 def matched(request):
     """The exact group, the float group, and the exact element of each float one."""
     exact = exact_group(request.param)
     floats = BUILDERS[request.param]().group
-    matrices = np.stack([exact.matrix(g) for g in range(len(exact.elements))])
-    # distinct elements differ by at least 0.5 in some entry, so the nearest one is it
-    distance = np.abs(floats[0][:, None] - matrices[None]).max(axis=(2, 3))
-    return exact, floats, distance.argmin(axis=1), distance.min(axis=1)
+    return exact, floats, *nearest_exact(exact, floats[0])
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_scalar_table_holds_exactly_the_exact_scalars(name):
+    # g is in the table, with k, exactly when its exact element is e^{i k pi/4} I
+    rep, exact = BUILDERS[name](), exact_group(name)
+    to_exact, _ = nearest_exact(exact, rep.group[0])
+    expected = {}
+    for g, h in enumerate(to_exact.tolist()):
+        k = scalar_power(exact.elements[h])
+        if k is not None:
+            expected[g] = k
+    assert rep.scalars == expected
+    assert len(expected) == {"b2": 1, "ge": 2, "jones": 8}[name]
 
 
 def test_float_elements_are_the_exact_ones(matched):

@@ -231,8 +231,17 @@ class TestGenericRep:
         rep = generic_rep(yang_baxter_unitary(0.9), 5)
         assert all(r < 1e-12 for _, _, r in rep.relation_report.far_commutation_residuals)
 
+    def test_blocks_share_one_frozen_copy_of_u(self):
+        u = yang_baxter_unitary(0.4)
+        rep = generic_rep(u, 8)
+        shared = rep.blocks[0][0]
+        assert all(block is shared for block, _ in rep.blocks)
+        assert [first for _, first in rep.blocks] == list(range(1, 8))
+        assert shared is not u and not shared.flags.writeable
+        np.testing.assert_array_equal(shared, u)
+
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="not unitary"):
+        with pytest.raises(ValueError, match="image of generator 1 is not unitary"):
             generic_rep(2 * I4, 3)
         with pytest.raises(ValueError, match="4x4"):
             generic_rep(I2, 3)
@@ -747,6 +756,45 @@ class TestClosureCheck:
         result = closure_check(ge_rep(1.0), parse_braid_word("s1 s2", 3))
         assert not result.closes
         assert result.phase is None
+
+    def test_named_reps_agree_with_the_matrix_test_on_random_words(self):
+        # the exact rule against closure_of on the evaluated matrix
+        rng = np.random.default_rng(31)
+        thetas = [0.0, 1.0, *rng.uniform(-4.0, 4.0, 3).tolist()]
+        named = [jones_rep()] + [build(t) for t in thetas for build in (b2_rep, ge_rep)]
+        closing = {"b2": 0, "ge": 0, "jones": 0}
+        for _ in range(3000):
+            rep = named[int(rng.integers(len(named)))]
+            word = random_word(rng, rep.strands, length=int(rng.integers(1, 41)))
+            expected = closure_of(evaluate(rep, word))
+            result = closure_check(rep, word)
+            assert result.closes == expected.closes
+            if expected.closes:
+                closing[rep.name] += 1
+                assert -np.pi <= result.phase < np.pi
+                assert wrapped_angle_distance(result.phase, expected.phase) <= 1e-15
+        assert min(closing.values()) >= 10  # 679, 68 and 12 at this seed
+
+    def test_a_phase_of_pi_is_reported_as_minus_pi(self):
+        for rep, text in ((jones_rep(), BORROMEAN), (b2_rep(np.pi / 2), "s1 s1"),
+                          (ge_rep(0.0), NUS)):
+            assert closure_check(rep, parse_braid_word(text, rep.strands)).phase == -np.pi
+
+    def test_named_reps_read_no_tolerance(self):
+        for tol in (1e-300, 0.5, 10.0):
+            assert closure_check(jones_rep(), parse_braid_word(BORROMEAN, 3), tol).closes
+            assert not closure_check(ge_rep(1.0), parse_braid_word("s1 s2", 3), tol).closes
+
+    def test_generic_rep_still_judges_at_tol(self):
+        # s1 is 1e-6 away from I in one diagonal entry
+        rep = generic_rep(np.diag(np.exp(1j * np.array([0.0, 0.0, 0.0, 1e-6]))), 3)
+        word = parse_braid_word("s1", 3)
+        assert closure_check(rep, word, 1e-3).closes
+        assert not closure_check(rep, word).closes
+
+    def test_strand_mismatch(self):
+        with pytest.raises(ValueError, match="strands"):
+            closure_check(jones_rep(), parse_braid_word("s1", 2))
 
 
 class TestRepresentationProperties:

@@ -210,6 +210,22 @@ class TestMeasurement:
             with pytest.raises(ValueError, match="integer"):
                 measure_qubit(named_state("ghz"), k, 0)
 
+    def test_a_numpy_float_index_prints_as_a_plain_number(self):
+        with pytest.raises(ValueError) as err:
+            measure_qubit(named_state("ghz"), np.float64(1.5), 0)
+        assert str(err.value) == "qubit index must be an integer, got 1.5"
+        with pytest.raises(ValueError) as err:
+            measure_qubit(named_state("ghz"), "1", 0)
+        assert str(err.value) == "qubit index must be an integer, got '1'"
+
+    def test_a_numpy_int_outcome_prints_as_a_plain_number(self):
+        with pytest.raises(ValueError) as err:
+            measure_qubit(named_state("ghz"), 1, np.int64(3))
+        assert str(err.value) == "outcome must be 0 or 1, got 3"
+        with pytest.raises(ValueError) as err:
+            measure_qubit(named_state("ghz"), 1, "0")
+        assert str(err.value) == "outcome must be 0 or 1, got '0'"
+
     def test_probability_completeness(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
