@@ -456,15 +456,22 @@ def test_tol_is_rejected_where_no_tolerance_is_read(argv):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "argv",
-    [["relations", "--rep", "jones"], ["entangle", "--rep", "ge", "--word", "s1 s2"]],
-    ids=["relations", "entangle"],
+    ("argv", "reads_tol"),
+    [(["relations", "--rep", "jones"], True),
+     (["entangle", "--rep", "ge", "--word", "s1 s2"], True),
+     # eval decides closure exactly, so it refuses --tol outright.
+     (["eval", "--rep", "ge", "--word", "s1 s2"], False)],
+    ids=["relations", "entangle", "eval"],
 )
-def test_non_finite_tol_is_a_usage_error(capsys, argv, tol):
+def test_non_finite_tol_is_a_usage_error(capsys, argv, reads_tol, tol):
     with pytest.raises(SystemExit) as err:
         main(argv + [f"--tol={tol}"])
     assert err.value.code == 2
-    assert f"tolerance must be positive and finite, got {float(tol)}" in capsys.readouterr().err
+    if reads_tol:
+        expected = f"tolerance must be positive and finite, got {float(tol)}"
+    else:
+        expected = f"unrecognized arguments: --tol={tol}"
+    assert expected in capsys.readouterr().err
 
 
 class TestLinksAndRender:
