@@ -62,17 +62,23 @@ Every other representation keeps that association by accumulating the
 transpose of the product: M <- M (I(x)B(x)I) is P <- (I(x)B^T(x)I) P for
 P = M^T, one k x k block applied along the block's qubits of P.
 
-On ``generic_rep`` the letters are fused before they reach P.  In written
-order, a letter joins the latest pending group that holds one of its qubits
-if the two together span at most WINDOW = 3 qubits; it may pass the groups
-after that one, which share no qubit with it and so commute with it.
-Otherwise it opens a new group.  Each group's product, k x k when all its
-letters share one block's qubits and else 8 x 8 from the ``window_steps``
-placed once per representation, is then applied to P in one pass: a group
-of g letters costs g small matmuls plus one d^2 * 8 pass instead of g
-passes of d^2 * 4.  On a random word each pass takes about
-four letters.  On 2 strands every letter shares the one block, so a stretch
-is one group, whose product is the left fold of its letters.
+On ``generic_rep`` the letters are fused before they reach P (gate fusion,
+Haener and Steiger, arXiv:1704.01127).  In written order, a letter joins
+the latest pending group that holds one of its qubits if the two together
+span at most the register's window; it may pass the groups after that one,
+which share no qubit with it and so commute with it.  Otherwise it opens a
+new group.  The window is 3 qubits up to 6 strands and 5 on 7 and 8: at
+d = 256 a pass costs 0.2-0.3 ms with a 4x4 to 16x16 group and 0.4 ms with a
+32x32 one, which takes about 11 letters of a random word against 4 for a
+3-qubit group, while on a small P a wide group's own product costs more
+than the passes it saves.  Each group is built when it is reached: on at
+most 3 qubits as the product of its letters' steps placed on its qubits,
+cached per representation under the keys a word uses, and on more by
+applying each 4x4 step to the group's own 2^m x 2^m product, as a group is
+applied to P.  The first group is placed on the register, so no pass
+multiplies by the identity.  On 2 strands every letter shares the one
+block, so a stretch is one group, whose product is the left fold of its
+letters.
 
 Evaluation plan on every other representation.  One length rule applies,
 SEGMENT letters.  A power run (``BraidWord.powers``, a tree in which each run
@@ -111,9 +117,6 @@ DEFAULT_THETA = 1.0  # 1/pi is irrational, so b2 is faithful at the default angl
 # evaluate's one length rule without a finite image group: a longer power run
 # is raised by squaring, and a longer stretch of letters is freely reduced.
 SEGMENT = 256
-
-# Qubits a fused group of local-block letters may span in evaluate.
-WINDOW = 3
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -179,31 +182,27 @@ class Representation:
         return tuple(_frozen(_place(block, first, self.strands)) for block, first in self.blocks)
 
     @cached_property
-    def steps(self) -> dict[int, tuple[np.ndarray, tuple[int, ...]]]:
-        """Per signed index, B^T for i and conj(B) for -i, each with the shape
-        of evaluate's transposed product that puts the block's qubits on one axis.
-        """
+    def steps(self) -> dict[int, np.ndarray]:
+        """Per signed index, B^T for i and conj(B) for -i: the factor that
+        ``evaluate``'s transposed product takes for the letter."""
         out = {}
-        for i, (block, first) in enumerate(self.blocks, start=1):
-            shape = _step_shape(self.dimension, first, len(block))
-            out[i] = (_frozen(block.T), shape)
-            out[-i] = (_frozen(block.conj()), shape)
+        for i, (block, _) in enumerate(self.blocks, start=1):
+            out[i], out[-i] = _frozen(block.T), _frozen(block.conj())
         return out
 
     @cached_property
-    def window_steps(self) -> dict[tuple[int, int], tuple[np.ndarray, tuple[int, ...]]]:
-        """Per (signed index, window start), the step image placed on the WINDOW
-        qubits from the window start, with the shape of the transposed product
-        that puts those qubits on one axis.  Only blocks that fit are listed.
-        """
+    def spans(self) -> dict[int, tuple[int, int]]:
+        """Per signed index, the first and last qubit of the generator's block."""
         out = {}
-        for c, (step, _) in self.steps.items():
-            first = self.blocks[abs(c) - 1][1]
-            m = len(step).bit_length() - 1
-            for w in range(max(1, first + m - WINDOW), min(first, self.strands - WINDOW + 1) + 1):
-                placed = _place(step, first - w + 1, WINDOW)
-                out[c, w] = (_frozen(placed), _step_shape(self.dimension, w, 2**WINDOW))
+        for i, block in enumerate(self.blocks, start=1):
+            out[i] = out[-i] = _span(*block)
         return out
+
+    @cached_property
+    def placed_steps(self) -> dict[tuple[int, int, int], np.ndarray]:
+        """Per (signed index, group start, width), the step image placed on a
+        fused group's qubits: filled by ``evaluate`` with the keys its words use."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -398,46 +397,66 @@ def generic_rep(u, strands: int) -> Representation:
     return _assemble("generic", strands, blocks, {}, require_braiding=False)
 
 
-def _fused_steps(rep: Representation, codes: list[int]):
-    """The steps of local-block letters, fused into groups of at most WINDOW qubits.
+def _window(strands: int) -> int:
+    """Qubits a fused group may span on a register of ``strands`` qubits: 3 up
+    to 6 strands, 5 on 7 and 8, the fastest of 2 to 6 in timings of evaluate."""
+    return 3 if strands <= 6 else 5
+
+
+def _fused_groups(rep: Representation, codes: list[int]) -> list[list]:
+    """Local-block letters fused into groups of at most ``_window`` qubits.
 
     In written order, a letter joins the latest group that holds one of its
-    qubits if the two together span at most WINDOW qubits; it commutes with
+    qubits if the two together span at most the window; it commutes with
     every later group, none of which touches its qubits.  Otherwise it opens
-    a new group.  Yields each group's transposed product and its shape, in
-    group order: the block-sized product when all of a group's letters share
-    one block's qubits, else the product of their ``window_steps``.
+    a new group.  Returns [first qubit, last qubit, signed indices] per group.
     """
-    n = rep.strands
-    spans = {}  # signed index -> (first qubit, last qubit) of its block
-    for i, block in enumerate(rep.blocks, start=1):
-        spans[i] = spans[-i] = _span(*block)
-    groups: list[list] = []  # [first qubit, last qubit, signed indices]
-    latest = [-1] * (n + 1)  # latest[q]: the index of the latest group holding qubit q
+    window = _window(rep.strands)
+    spans = rep.spans
+    groups: list[list] = []
+    latest = [-1] * (rep.strands + 1)  # latest[q]: the index of the latest group holding qubit q
     for c in codes:
         lo, hi = spans[c]
         j = max(latest[lo : hi + 1])
         if j >= 0:
             group = groups[j]
             start, end = min(lo, group[0]), max(hi, group[1])
-            if end - start < WINDOW:
+            if end - start < window:
                 group[0], group[1] = start, end
                 group[2].append(c)
                 latest[lo : hi + 1] = [j] * (hi - lo + 1)
                 continue
         latest[lo : hi + 1] = [len(groups)] * (hi - lo + 1)
         groups.append([lo, hi, [c]])
-    steps, window = rep.steps, rep.window_steps
-    for lo, _, members in groups:
-        if all(spans[c] == spans[members[0]] for c in members):
-            images = [steps[c] for c in members]
-        else:
-            w = min(lo, n - WINDOW + 1)
-            images = [window[c, w] for c in members]
-        t, shape = images[0]
-        for image, _ in images[1:]:
-            t = image @ t
-        yield t, shape
+    return groups
+
+
+def _group_product(rep: Representation, lo: int, hi: int, members: list[int]) -> np.ndarray:
+    """The transposed product of a fused group's letters on its qubits lo..hi.
+
+    On at most 3 qubits it multiplies the letters' steps placed on those
+    qubits (``Representation.placed_steps``); on more it applies each step to
+    the group's own product, as ``_fold`` applies a group to P.
+    """
+    steps, spans, width = rep.steps, rep.spans, hi - lo + 1
+    if width <= 3:
+        placed = rep.placed_steps
+        t = None
+        for c in members:
+            image = placed.get((c, lo, width))
+            if image is None:
+                image = steps[c]
+                if spans[c] != (lo, hi):
+                    image = _frozen(_place(image, spans[c][0] - lo + 1, width))
+                placed[c, lo, width] = image
+            t = image if t is None else image @ t
+        return t
+    k = 2**width
+    t = np.eye(k, dtype=complex)
+    for c in members:
+        step = steps[c]
+        t = step @ t.reshape(_step_shape(k, spans[c][0] - lo + 1, len(step)))
+    return t.reshape(k, k)
 
 
 def _fold(
@@ -446,20 +465,22 @@ def _fold(
     """Continue the transposed product ``p`` (None: the identity) over codes[lo:hi].
 
     A stretch of more than SEGMENT letters is freely reduced first.  The
-    letters take one step per fused group (``_fused_steps``).
+    letters take one step per fused group (``_fused_groups``); on the
+    identity the first group is placed on the register, not multiplied.
     """
     if lo == hi:
         return p
     codes = codes[lo:hi].tolist()
     if len(codes) > SEGMENT:
         codes = free_reduce_codes(codes)
-    if p is None:
-        p = np.eye(rep.dimension, dtype=complex)
-    for block_t, shape in _fused_steps(rep, codes):
-        if p.shape != shape:  # a reshape on every 8x8 letter made evaluate ~8% slower
-            p = p.reshape(shape)
-        p = block_t @ p
-    return p
+    d = rep.dimension
+    for first, last, members in _fused_groups(rep, codes):
+        t = _group_product(rep, first, last, members)
+        if p is None:
+            p = _place(t, first, rep.strands)
+        else:  # p is contiguous, so the reshape that puts t's qubits on one axis is a view
+            p = t @ p.reshape(_step_shape(d, first, len(t)))
+    return np.eye(d, dtype=complex) if p is None else p
 
 
 def _product(rep: Representation, codes: np.ndarray, runs, lo: int, hi: int) -> np.ndarray | None:
@@ -530,10 +551,16 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     return np.ascontiguousarray(p.reshape(d, d).T)
 
 
+def _closed(phase: float) -> ClosureResult:
+    """A closing result with its phase in [-pi, pi): pi is reported as -pi."""
+    return ClosureResult(True, -math.pi if phase == math.pi else phase)
+
+
 def closure_of(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> ClosureResult:
-    """Is the matrix e^{i phi} I within tol in the Frobenius norm, and for which phi?"""
+    """Is the matrix e^{i phi} I within tol in the Frobenius norm, and for which
+    phi in [-pi, pi)?"""
     phase = equal_up_to_phase(matrix, np.eye(len(matrix), dtype=complex), tol)
-    return ClosureResult(phase is not None, phase)
+    return ClosureResult(False, None) if phase is None else _closed(phase)
 
 
 def closure_check(rep: Representation, word: BraidWord, tol: float = DEFAULT_TOL) -> ClosureResult:
@@ -554,5 +581,4 @@ def closure_check(rep: Representation, word: BraidWord, tol: float = DEFAULT_TOL
     k = rep.scalars.get(g)
     if k is None:
         return ClosureResult(False, None)
-    phase = cmath.phase(cmath.exp(1j * rep.phase * e) * _ZETA[k])
-    return ClosureResult(True, -math.pi if phase == math.pi else phase)
+    return _closed(cmath.phase(cmath.exp(1j * rep.phase * e) * _ZETA[k]))

@@ -24,7 +24,6 @@ from braident.linalg import equal_up_to_phase, haar_unitary, is_unitary
 from braident.reps import (
     JONES_A,
     SEGMENT,
-    WINDOW,
     b2_rep,
     closure_check,
     closure_of,
@@ -625,7 +624,8 @@ class TestPowerRuns:
 
 
 class TestFusedLetters:
-    """On local blocks, evaluate fuses letters into groups of at most WINDOW qubits."""
+    """On local blocks, evaluate fuses letters into groups of at most the register's
+    window of qubits."""
 
     def check(self, u, word, rep=None):
         n, dim = word.strands, 2**word.strands
@@ -665,29 +665,79 @@ class TestFusedLetters:
         u = haar_unitary(4, np.random.default_rng(720))
         rep = generic_rep(u, strands)
         codes = [1, 4, 2, 5, 1]  # s1 s4 s2 s5 s1: groups s1 s2 s1 and s4 s5
-        groups = list(reps._fused_steps(rep, codes))
-        windows = rep.window_steps
-        assert [shape for _, shape in groups] == [windows[1, 1][1], windows[4, 4][1]]
-        # the transposed product of s1 s2 s1, each placed on the window of qubits 1-3
-        s = [None] + [image.T for image in dense_images(u, WINDOW)]
-        np.testing.assert_array_equal(groups[0][0], s[1] @ (s[2] @ s[1]))
+        assert reps._fused_groups(rep, codes) == [[1, 3, [1, 2, 1]], [4, 6, [4, 5]]]
         self.check(u, parse_braid_word("s1 s4 s2 s5 s1", strands), rep)
 
-    def test_windows_cover_every_block_that_fits(self):
-        u = haar_unitary(4, np.random.default_rng(730))
-        assert generic_rep(u, 2).window_steps == {}  # no 3-qubit window on 2 qubits
-        assert sorted(generic_rep(u, 3).window_steps) == [(c, 1) for c in (-2, -1, 1, 2)]
-        table = generic_rep(u, 5).window_steps
-        # s_i acts on qubits i and i + 1, which fit the windows from i - 1 and from i
-        signed = (-4, -3, -2, -1, 1, 2, 3, 4)
-        assert sorted(table) == sorted(
-            (c, w) for c in signed for w in (abs(c) - 1, abs(c)) if 1 <= w <= 3
-        )
-        for (c, w), (image, _) in table.items():
-            block = u.T if c > 0 else u.conj()
-            i = abs(c)
-            expected = np.kron(np.kron(np.eye(2 ** (i - w)), block), np.eye(2 ** (w + 1 - i)))
-            np.testing.assert_array_equal(image, expected)
+    @pytest.mark.parametrize("strands", range(2, 9))
+    def test_each_group_is_the_kron_product_of_its_letters(self, strands):
+        rng = np.random.default_rng(730 + strands)
+        u = haar_unitary(4, rng)
+        rep = generic_rep(u, strands)
+        widths = set()
+        for length in (1, 5, 40, 140):
+            codes = codes_of(random_word(rng, strands, length=length))
+            groups = reps._fused_groups(rep, codes)
+            for lo, hi, members in groups:
+                width = hi - lo + 1
+                widths.add(width)
+                # s_i on the group's qubits is dense_images at the group's width, index i - lo
+                local = dense_images(u, width)
+                factors = [local[c - lo] if c > 0 else local[-c - lo].conj().T for c in members]
+                expected = functools.reduce(np.matmul, factors, np.eye(2**width)).T
+                product = reps._group_product(rep, lo, hi, members)
+                assert np.max(np.abs(product - expected)) < 1e-12
+        assert max(widths) == min(reps._window(strands), strands)
+
+    @pytest.mark.parametrize("strands", range(2, 9))
+    def test_no_group_spans_more_than_the_window(self, strands):
+        rng = np.random.default_rng(740 + strands)
+        rep = generic_rep(haar_unitary(4, rng), strands)
+        window = reps._window(strands)
+        assert window == (3 if strands <= 6 else 5)
+        for length in (2, 30, 300):
+            codes = codes_of(random_word(rng, strands, length=length))
+            groups = reps._fused_groups(rep, codes)
+            assert sorted(c for *_, members in groups for c in members) == sorted(codes)
+            for lo, hi, members in groups:
+                assert 1 <= lo < hi <= strands and hi - lo < window
+                assert all(lo <= abs(c) < hi for c in members)
+
+
+def apply_letters(u, codes, kets):
+    """M v for the written-order product M of the letters, applied to the columns of
+    ``kets`` one letter at a time, last letter first: U (U^dag for an inverse letter)
+    contracted into qubits i and i + 1 of each ket with einsum."""
+    n = len(kets).bit_length() - 1
+    psi = kets.reshape((2,) * n + (kets.shape[1],))
+    axes = "abcdefghij"[:n]
+    gates = {1: u.reshape(2, 2, 2, 2), -1: u.conj().T.reshape(2, 2, 2, 2)}
+    for c in reversed(codes):
+        i = abs(c) - 1
+        out = axes[:i] + "yz" + axes[i + 2 :]
+        psi = np.einsum(f"yz{axes[i : i + 2]},{axes}k->{out}k", gates[np.sign(c)], psi)
+    return psi.reshape(kets.shape)
+
+
+class TestStateOracle:
+    """evaluate on wide registers against kets moved letter by letter with einsum,
+    which shares no code with reps.py."""
+
+    @pytest.mark.parametrize("strands", [6, 7, 8])
+    def test_the_product_moves_kets_as_its_letters_do(self, strands):
+        rng = np.random.default_rng(760 + strands)
+        u = haar_unitary(4, rng)
+        rep = generic_rep(u, strands)
+        d = 2**strands
+        for length in (20, 80, 140, 300):
+            word = random_word(rng, strands, length=length)
+            product = evaluate(rep, word)
+            kets = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
+            kets /= np.linalg.norm(kets, axis=0)
+            expected = apply_letters(u, codes_of(word), kets)
+            assert np.max(np.abs(product @ kets - expected)) < 1e-12
+            if strands == 8:
+                defect = product @ product.conj().T - np.eye(d)
+                assert np.linalg.norm(defect, axis=0).max() <= 1e-10
 
 
 class TestClosurePhase:
@@ -779,6 +829,14 @@ class TestClosureCheck:
         for rep, text in ((jones_rep(), BORROMEAN), (b2_rep(np.pi / 2), "s1 s1"),
                           (ge_rep(0.0), NUS)):
             assert closure_check(rep, parse_braid_word(text, rep.strands)).phase == -np.pi
+
+    def test_the_matrix_test_reports_pi_as_minus_pi_like_the_group_read(self):
+        # both words evaluate to -I: one judged in floats, one read in b2's group
+        matrix = closure_check(generic_rep(-np.eye(4), 3), parse_braid_word("s1", 3))
+        group = closure_check(b2_rep(np.pi / 2), parse_braid_word("s1 s1", 2))
+        assert matrix.closes and group.closes
+        assert matrix.phase == group.phase == -np.pi
+        assert closure_of(-I8).phase == -np.pi
 
     def test_named_reps_read_no_tolerance(self):
         for tol in (1e-300, 0.5, 10.0):
