@@ -298,6 +298,8 @@ def _resolve_factors(args) -> tuple[list[np.ndarray], str]:
     if choice == "identity":
         return [np.eye(2, dtype=complex)] * 3, "identity"
     if choice == "random-unitary":
+        if args.seed < 0:  # numpy's own message does not name the option
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         return [haar_unitary(2, rng) for _ in range(3)], f"random-unitary(seed={args.seed})"
     if choice.startswith("@"):

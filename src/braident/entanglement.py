@@ -129,15 +129,23 @@ def vn_entropy(dm: DensityMatrix) -> float:
     A one-qubit matrix [[a, b], [b*, d]] has eigenvalues (t +- s) / 2 with
     t = a + d and s = sqrt((a - d)^2 + 4 |b|^2); the smaller one is read as
     2 det / (t + s), which keeps its digits when it is near zero.  Larger
-    matrices take a Hermitian eigensolve.
+    matrices take a Hermitian eigensolve.  A one-qubit projector or reduction
+    whose matrix has not been read yet (``DensityMatrix``) reads a, b and d
+    from the product its first read would form, F F^dag of its factor, and
+    its matrix stays unformed.
     """
-    if dm.matrix.shape == (2, 2):
-        (a, b), (_, d) = dm.matrix.tolist()
+    fields = vars(dm)
+    if dm.qubits == 1 and "matrix" not in fields:
+        matrix = fields["_form"](dm._factor)
+    else:
+        matrix = dm.matrix
+    if matrix.shape == (2, 2):
+        (a, b), (_, d) = matrix.tolist()
         a, d = a.real, d.real
         s = math.sqrt((a - d) ** 2 + 4.0 * abs(b) ** 2)
         values = [2.0 * (a * d - abs(b) ** 2) / (a + d + s), (a + d + s) / 2.0]
     else:
-        values = np.linalg.eigvalsh(dm.matrix).tolist()
+        values = np.linalg.eigvalsh(matrix).tolist()
     return max(0.0, -sum(v * math.log2(v) for v in values if v > _EIG_FLOOR))
 
 
@@ -201,6 +209,7 @@ def residual_profile(state: PureState) -> ResidualProfile:
             continue
         probability = min(max(probability, 0.0), 1.0)
         scale = 1.0 / math.sqrt(probability)
-        b0, b1, b2, b3 = (amplitudes[x] * scale for x in (i, j, k, m))
+        b0, b1 = amplitudes[i] * scale, amplitudes[j] * scale
+        b2, b3 = amplitudes[k] * scale, amplitudes[m] * scale
         entries.append(ProfileEntry(qubit, outcome, probability, 2.0 * abs(b0 * b3 - b1 * b2)))
     return ResidualProfile(tuple(entries))

@@ -38,10 +38,11 @@ exponent sum 0, so its image lies in the finite group.
 builder that also makes the symmetric group of a word's permutation image,
 and ``evaluate`` reads a word in it by ``braids.group_element``, which also
 sums the word's signs.  The image is e^{i theta e} M[g], e the exponent sum:
-one rounded element at any length.  The word keeps (g, e) after that read,
-with the group object itself as the key, matched by identity, so reading
-the word again in the same group (``closure_check`` after ``evaluate``) is
-a lookup.  Closure is decided there exactly, with no tolerance: the image
+one rounded element at any length.  A finite theta whose product with e
+overflows raises ValueError, since e^{i inf} is NaN.  The word keeps (g, e)
+after that read, with the group object itself as the key, matched by
+identity, so reading the word again in the same group (``closure_check``
+after ``evaluate``) is a lookup.  Closure is decided there exactly, with no tolerance: the image
 is a phase times I iff g is zeta^k I, zeta = e^{i pi/4}, which
 ``Representation.scalars`` lists once per group (1 of 2 elements on b2,
 2 of 48 on ge, 8 of 192 on jones), and the phase is theta e + k pi/4.
@@ -530,6 +531,20 @@ def _group_read(rep: Representation, word: BraidWord) -> tuple[int, int]:
     return read[1:]
 
 
+def _image_read(rep: Representation, word: BraidWord) -> tuple[int, complex]:
+    """The word's element g of ``rep.group`` and the exponent i theta e of its
+    phase e^{i theta e}, e the exponent sum.  A finite theta can still
+    overflow theta e, and e^{i inf} is NaN, so that product raises."""
+    g, e = _group_read(rep, word)
+    exponent = 1j * rep.phase * e
+    if not cmath.isfinite(exponent):
+        raise ValueError(
+            f"theta times the exponent sum is not finite: theta = {rep.phase!r}, "
+            f"exponent sum {e}"
+        )
+    return g, exponent
+
+
 def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     """Evaluate a braid word to the product of generator images in written order.
 
@@ -543,8 +558,8 @@ def evaluate(rep: Representation, word: BraidWord) -> np.ndarray:
     _check_strands(rep, word)
     d = rep.dimension
     if rep.phase is not None:
-        g, e = _group_read(rep, word)
-        return np.exp(1j * rep.phase * e) * rep.group[0][g]
+        g, exponent = _image_read(rep, word)
+        return np.exp(exponent) * rep.group[0][g]
     p = _product(rep, word.codes, word.powers, 0, len(word))
     if p is None:
         return np.eye(d, dtype=complex)
@@ -577,8 +592,8 @@ def closure_check(rep: Representation, word: BraidWord, tol: float = DEFAULT_TOL
     if rep.phase is None:
         return closure_of(evaluate(rep, word), tol)
     _check_strands(rep, word)
-    g, e = _group_read(rep, word)
+    g, exponent = _image_read(rep, word)
     k = rep.scalars.get(g)
     if k is None:
         return ClosureResult(False, None)
-    return _closed(cmath.phase(cmath.exp(1j * rep.phase * e) * _ZETA[k]))
+    return _closed(cmath.phase(cmath.exp(exponent) * _ZETA[k]))

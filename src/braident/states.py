@@ -9,6 +9,7 @@ renormalized state on the remaining ones.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from operator import index
 
@@ -18,7 +19,6 @@ NORM_TOL = 1e-10
 DRIFT_TOL = 1e-8
 PROB_FLOOR = 1e-12
 
-_I2 = np.eye(2, dtype=complex)
 _EPS = np.finfo(float).eps
 
 
@@ -73,9 +73,11 @@ class DensityMatrix:
     of a three-qubit state).  Such a matrix is formed from F when ``matrix``
     is first read (repr reads it too), by the same products that would have
     formed it at once, and is read-only from then on; a measure that reads
-    only the factor forms none.  Every other matrix, and every reduction of
-    one, goes through the checks and has ``_factor`` None.  The factor
-    takes no part in repr.  Density matrices compare by identity.
+    only the factor forms none.  Until that read, ``_form(_factor)`` is the
+    matrix's product, which ``vn_entropy`` forms on one qubit without
+    keeping it.  Every other matrix, and every reduction of one, goes
+    through the checks and has ``_factor`` None.  The factor takes no part
+    in repr.  Density matrices compare by identity.
     """
 
     qubits: int
@@ -120,13 +122,25 @@ class MeasurementOutcome:
     post_state: PureState
 
 
+def _unchecked(qubits: int, amplitudes: np.ndarray) -> PureState:
+    """A PureState over the read-only ``amplitudes`` as they are, without the
+    constructor's checks and copy: for amplitudes normalised by construction."""
+    state = object.__new__(PureState)
+    object.__setattr__(state, "qubits", qubits)
+    object.__setattr__(state, "amplitudes", amplitudes)
+    return state
+
+
 def basis_state(bits: str) -> PureState:
-    """Computational basis vector for a 0/1 string, leftmost bit = qubit 1."""
+    """Computational basis vector for a 0/1 string, leftmost bit = qubit 1.
+
+    One amplitude is 1 and the others 0, so the vector is normalised by
+    construction and kept without the ``PureState`` checks."""
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"basis label must be a nonempty string of 0/1, got {bits!r}")
     amps = np.zeros(2 ** len(bits), dtype=complex)
     amps[int(bits, 2)] = 1.0
-    return PureState(len(bits), amps)
+    return _unchecked(len(bits), _freeze(amps))
 
 
 NAMED_STATES = {  # name -> (qubits, support)
@@ -134,15 +148,26 @@ NAMED_STATES = {  # name -> (qubits, support)
 }
 
 
-def named_state(name: str) -> PureState:
-    """One of the reference states: 'ghz', 'phi' (both 3 qubits) or 'bell' (2),
-    with equal amplitudes on the basis states of its NAMED_STATES support."""
-    if name not in NAMED_STATES:
-        raise ValueError(f"unknown named state {name!r} (expected ghz, phi or bell)")
-    qubits, support = NAMED_STATES[name]
+def _reference(qubits: int, support: tuple[int, ...]) -> PureState:
     amps = np.zeros(2**qubits, dtype=complex)
     amps[list(support)] = 1.0 / np.sqrt(len(support))
     return PureState(qubits, amps)
+
+
+_NAMED = {name: _reference(*spec) for name, spec in NAMED_STATES.items()}
+
+
+def named_state(name: str) -> PureState:
+    """One of the reference states: 'ghz', 'phi' (both 3 qubits) or 'bell' (2),
+    with equal amplitudes on the basis states of its NAMED_STATES support.
+
+    Each name's amplitudes are built and checked by ``PureState`` once, at
+    import.  Every call returns a new state, since states compare by
+    identity, over the same read-only amplitude array."""
+    if name not in NAMED_STATES:
+        raise ValueError(f"unknown named state {name!r} (expected ghz, phi or bell)")
+    state = _NAMED[name]
+    return _unchecked(state.qubits, state.amplitudes)
 
 
 def apply(operator, state: PureState) -> PureState:
@@ -161,10 +186,7 @@ def apply(operator, state: PureState) -> PureState:
     if not abs(norm - 1.0) <= DRIFT_TOL:  # NaN fails too
         raise ValueError(f"operator is not norm preserving (output norm {float(norm)})")
     out /= norm
-    result = object.__new__(PureState)
-    object.__setattr__(result, "qubits", state.qubits)
-    object.__setattr__(result, "amplitudes", _freeze(out))
-    return result
+    return _unchecked(state.qubits, _freeze(out))
 
 
 def _shown(value) -> str:
@@ -305,30 +327,40 @@ def partial_trace(dm: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(len(kept), reduced)
 
 
+def _unitary_gap(factor: np.ndarray) -> float:
+    """||F F^dag - I||_F of a 2 x 2 factor [[a, b], [c, d]], on Python numbers:
+    the square root of (|a|^2 + |b|^2 - 1)^2 + (|c|^2 + |d|^2 - 1)^2 + 2 |a c* + b d*|^2.
+
+    Every square is a product, never ``abs`` or ``**``, which raise
+    OverflowError on entries near 1e308; a product overflows to inf, and an
+    inf or NaN entry gives an inf or NaN gap."""
+    (a, b), (c, d) = factor.tolist()
+    top = a.real * a.real + a.imag * a.imag + (b.real * b.real + b.imag * b.imag) - 1.0
+    bottom = c.real * c.real + c.imag * c.imag + (d.real * d.real + d.imag * d.imag) - 1.0
+    off = a * c.conjugate() + b * d.conjugate()
+    off2 = off.real * off.real + off.imag * off.imag
+    return math.sqrt(top * top + bottom * bottom + 2.0 * off2)
+
+
 def apply_local(state: PureState, factors) -> PureState:
     """Apply a tensor product of single-qubit unitaries, factor i to qubit i.
 
     Every factor must be 2 x 2 and unitary within NORM_TOL (the Frobenius
-    norm of F F^dag - I); the first factor that is not raises.  The 2 x 2
-    factors before it are checked together, by one stacked product and one
-    norm.  The product is formed left to right with one broadcast multiply
-    per factor, the same products ``np.kron`` takes.
+    norm of F F^dag - I, ``_unitary_gap``).  The factors are checked in
+    order, each for its shape and then its unitarity, and the first that
+    fails raises.  The product is formed left to right with one broadcast
+    multiply per factor, the same products ``np.kron`` takes.
     """
     factors = [np.asarray(f, dtype=complex) for f in factors]
     if len(factors) != state.qubits:
         raise ValueError(
             f"need {state.qubits} factors (one per qubit), got {len(factors)}"
         )
-    shaped = next((i for i, f in enumerate(factors) if f.shape != (2, 2)), len(factors))
-    if shaped:
-        stack = np.array(factors[:shaped])
-        gaps = np.linalg.norm(stack @ stack.conj().transpose(0, 2, 1) - _I2, axis=(1, 2))
-        bad = next((i for i, gap in enumerate(gaps.tolist(), 1) if not gap <= NORM_TOL), 0)
-        if bad:  # NaN fails too
-            raise ValueError(f"factor {bad} is not unitary within tolerance")
-    if shaped < len(factors):
-        f = factors[shaped]
-        raise ValueError(f"factor {shaped + 1} has shape {f.shape}, expected (2, 2)")
+    for i, f in enumerate(factors, 1):
+        if f.shape != (2, 2):
+            raise ValueError(f"factor {i} has shape {f.shape}, expected (2, 2)")
+        if not _unitary_gap(f) <= NORM_TOL:  # NaN fails too
+            raise ValueError(f"factor {i} is not unitary within tolerance")
     product = factors[0]
     for f in factors[1:]:
         k = 2 * len(product)

@@ -165,6 +165,19 @@ class TestEval:
             assert lines == [f"error: theta must be finite, got {float(theta)}"]
 
 
+    @pytest.mark.parametrize("command, word", [
+        ("eval", "s1 s2 s1 s2 s1 s2"),
+        ("entangle", "s1 s1 s1 s1 s1 s1"),
+    ])
+    def test_a_theta_that_overflows_with_the_exponent_sum_exits_2(self, capsys, command, word):
+        assert main([command, "--rep", "ge", "--word", word, "--theta", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: theta times the exponent sum is not finite: theta = 1e+308, exponent sum 6\n"
+        )
+
+
 class TestWarningCapture:
     def test_a_warning_of_a_run_that_succeeds_prints_on_one_line(self, monkeypatch, capsys):
         def warning_render(args):
@@ -339,6 +352,17 @@ class TestLuCheck:
             ["lu-check", "--factors", "random-unitary", "--seed", "3", "--format", "json"],
         )
         assert doc1 == doc2
+
+    @pytest.mark.parametrize("seed", ["-1", "-7", f"-{10**30}"])
+    def test_a_negative_seed_is_named_and_exits_2(self, capsys, seed):
+        assert main(["lu-check", "--factors", "random-unitary", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must be a non-negative integer, got {seed}\n"
+
+    def test_seed_zero_is_the_default(self, capsys):
+        argv = ["lu-check", "--factors", "random-unitary", "--format", "json"]
+        assert run_json(capsys, argv) == run_json(capsys, argv + ["--seed", "0"])
 
     def test_factor_file(self, capsys, tmp_path):
         hadamard = [[[2**-0.5, 0.0], [2**-0.5, 0.0]], [[2**-0.5, 0.0], [-(2**-0.5), 0.0]]]

@@ -96,6 +96,44 @@ def closed_form_states():
     return states
 
 
+def matrix_read_entropy(dm):
+    """``vn_entropy`` as it read every matrix through ``dm.matrix``, kept as
+    the oracle of the one-qubit reduction read from the factor."""
+    if dm.matrix.shape == (2, 2):
+        (a, b), (_, d) = dm.matrix.tolist()
+        a, d = a.real, d.real
+        s = math.sqrt((a - d) ** 2 + 4.0 * abs(b) ** 2)
+        values = [2.0 * (a * d - abs(b) ** 2) / (a + d + s), (a + d + s) / 2.0]
+    else:
+        values = np.linalg.eigvalsh(dm.matrix).tolist()
+    return max(0.0, -sum(v * math.log2(v) for v in values if v > 1e-14))
+
+
+def generator_profile(state):
+    """``residual_profile`` as it scaled each branch by a generator expression,
+    kept as the oracle of the same four products written out."""
+    branches = [
+        (qubit, outcome, tuple(i for i in range(8) if i >> (3 - qubit) & 1 == outcome))
+        for qubit in (1, 2, 3)
+        for outcome in (0, 1)
+    ]
+    amplitudes = state.amplitudes.tolist()
+    re2 = [a.real * a.real for a in amplitudes]
+    im2 = [a.imag * a.imag for a in amplitudes]
+    entries = []
+    for qubit, outcome, (i, j, k, m) in branches:
+        squares = ((re2[i] + re2[k]) + (re2[j] + re2[m])) + ((im2[i] + im2[k]) + (im2[j] + im2[m]))
+        probability = math.sqrt(squares) ** 2
+        if probability < 1e-12:
+            entries.append(ProfileEntry(qubit, outcome, 0.0, None))
+            continue
+        probability = min(max(probability, 0.0), 1.0)
+        scale = 1.0 / math.sqrt(probability)
+        b0, b1, b2, b3 = (amplitudes[x] * scale for x in (i, j, k, m))
+        entries.append(ProfileEntry(qubit, outcome, probability, 2.0 * abs(b0 * b3 - b1 * b2)))
+    return ResidualProfile(tuple(entries))
+
+
 def eigvalsh_entropy(matrix):
     values = np.linalg.eigvalsh(matrix)
     values = values[values > 1e-14]
@@ -271,6 +309,26 @@ class TestClosedForms:
 
 
 class TestEntropy:
+    def test_unread_one_qubit_reductions_match_the_matrix_read_and_stay_unformed(self):
+        rng = np.random.default_rng(103)
+        states = closed_form_states() + profile_test_states()
+        states += [random_state(rng, qubits) for qubits in (2, 4, 5) for _ in range(30)]
+        for state in states:
+            rho = density(state)
+            for q in range(1, state.qubits + 1):
+                unread, read = partial_trace(rho, {q}), partial_trace(rho, {q})
+                value = vn_entropy(unread)
+                assert "matrix" not in vars(unread)
+                expected = matrix_read_entropy(read)
+                assert "matrix" in vars(read)
+                assert value.hex() == expected.hex()
+                assert vn_entropy(read).hex() == expected.hex()  # a read matrix is read again
+        for _ in range(100):  # a one-qubit projector, whose matrix is an outer product
+            state = random_state(rng, 1)
+            unread, read = density(state), density(state)
+            assert vn_entropy(unread).hex() == matrix_read_entropy(read).hex()
+            assert "matrix" not in vars(unread)
+
     def test_pure_projector_has_zero_entropy(self):
         assert vn_entropy(density(named_state("bell"))) == pytest.approx(0.0, abs=1e-10)
 
@@ -428,6 +486,13 @@ class TestResidualProfile:
             assert profile == reference(state)
             impossible += sum(e.concurrence is None for e in profile.entries)
         assert impossible > 0
+
+    def test_matches_the_generator_profile_bit_for_bit(self):
+        for state in profile_test_states() + closed_form_states():
+            profile, expected = residual_profile(state), generator_profile(state)
+            assert profile == expected
+            for entry, reference in zip(profile.entries, expected.entries):
+                assert repr(entry) == repr(reference)  # the signs of zeros too
 
     def test_json_schema(self):
         entries = residual_profile(basis_state("000")).entries

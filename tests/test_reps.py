@@ -855,6 +855,38 @@ class TestClosureCheck:
             closure_check(jones_rep(), parse_braid_word("s1", 2))
 
 
+class TestOverflowingPhase:
+    """A finite theta whose product with the exponent sum e overflows: e^{i inf} is NaN."""
+
+    @pytest.mark.parametrize("builder, text, e", [
+        (ge_rep, "s1 s2 s1 s2 s1 s2", 6),
+        (ge_rep, "s1^-1 s2^-1", -2),
+        (b2_rep, "s1 s1", 2),
+    ])
+    @pytest.mark.parametrize("theta", [1e308, -1e308, 9e307])
+    def test_evaluate_and_closure_check_name_theta_and_the_exponent_sum(
+        self, builder, text, e, theta
+    ):
+        rep, word = builder(theta), parse_braid_word(text, 3 if builder is ge_rep else 2)
+        message = f"theta times the exponent sum is not finite: theta = {theta!r}, exponent sum {e}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in (evaluate, closure_check):
+                with pytest.raises(ValueError) as info:
+                    read(rep, word)
+                assert str(info.value) == message
+
+    def test_the_largest_finite_products_still_evaluate(self):
+        cases = [(ge_rep(1e308), "s1"), (ge_rep(-1e308), "s2^-1"), (b2_rep(1e308), "s1 s1 s1^-1"),
+                 (ge_rep(8e307), "s1 s2"), (ge_rep(1e308), "s1 s2 s1^-1 s2^-1"),
+                 (jones_rep(), "(s1 s2)^100000")]
+        for rep, text in cases:
+            word = parse_braid_word(text, rep.strands)
+            matrix = evaluate(rep, word)
+            assert np.isfinite(matrix).all() and is_unitary(matrix)
+            assert closure_check(rep, word).closes == closure_of(matrix).closes
+
+
 class TestRepresentationProperties:
     REPS = None
 

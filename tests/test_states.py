@@ -1,7 +1,7 @@
 import dataclasses
 import json
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from braident.entanglement import concurrence_mixed2, vn_entropy
 from braident.linalg import haar_unitary
 from braident.reps import b2_rep, evaluate, ge_rep, jones_rep
 from braident.states import (
+    NORM_TOL,
     DensityMatrix,
     ImpossibleOutcomeError,
     PureState,
@@ -76,6 +77,30 @@ class TestConstruction:
         bell = named_state("bell")
         assert bell.qubits == 2
         assert np.allclose(bell.amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
+
+    def test_named_states_are_distinct_over_shared_read_only_amplitudes(self):
+        for name, (qubits, support) in states.NAMED_STATES.items():
+            first, second = named_state(name), named_state(name)
+            assert first is not second and first != second  # states compare by identity
+            assert first.amplitudes is second.amplitudes
+            assert not first.amplitudes.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                first.amplitudes[0] = 0
+            # bit for bit the amplitudes that PureState builds and checks from the support
+            amps = np.zeros(2**qubits, dtype=complex)
+            amps[list(support)] = 1.0 / np.sqrt(len(support))
+            assert first.qubits == qubits
+            assert first.amplitudes.tobytes() == PureState(qubits, amps).amplitudes.tobytes()
+
+    def test_basis_states_are_read_only_and_those_pure_state_checks(self):
+        for bits in ("0", "1", "01", "110", "0000000", "1" * 10):
+            state = basis_state(bits)
+            checked = PureState(len(bits), np.eye(1, 2 ** len(bits), int(bits, 2)))
+            assert state.qubits == checked.qubits
+            assert state.amplitudes.dtype == complex and state.amplitudes.shape == (2 ** len(bits),)
+            assert state.amplitudes.tobytes() == checked.amplitudes.tobytes()
+            assert not state.amplitudes.flags.writeable
+        assert basis_state("01").amplitudes is not basis_state("01").amplitudes
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown named state"):
@@ -428,6 +453,61 @@ class TestDensityAndPartialTrace:
         assert reduced.matrix.tobytes() == partial_trace(rho, {1, 3}).matrix.tobytes()
 
 
+def stacked_check(factors):
+    """The message of the first factor ``apply_local`` rejects, or None.
+
+    This is the check ``apply_local`` made before its per-factor scalar gap,
+    kept as the oracle: the 2 x 2 factors before the first of another shape
+    are checked together, by one stacked product and one norm per factor.
+    """
+    factors = [np.asarray(f, dtype=complex) for f in factors]
+    shaped = next((i for i, f in enumerate(factors) if f.shape != (2, 2)), len(factors))
+    if shaped:
+        stack = np.array(factors[:shaped])
+        with np.errstate(all="ignore"):  # numpy warns on the 1e308 and inf factors
+            gaps = np.linalg.norm(stack @ stack.conj().transpose(0, 2, 1) - I2, axis=(1, 2))
+        bad = next((i for i, gap in enumerate(gaps.tolist(), 1) if not gap <= NORM_TOL), 0)
+        if bad:
+            return f"factor {bad} is not unitary within tolerance"
+    if shaped < len(factors):
+        return f"factor {shaped + 1} has shape {factors[shaped].shape}, expected (2, 2)"
+    return None
+
+
+def local_verdict(factors):
+    """The message ``apply_local`` raises on GHZ with these factors, or None."""
+    try:
+        apply_local(named_state("ghz"), factors)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def at_gap(u, gap, split):
+    """u diag(s1, s2), whose F F^dag - I has Frobenius norm ``gap``: the two
+    stretches (s_i^2 - 1) share gap^2 in the ratio split : 1 - split."""
+    s1 = np.sqrt(1.0 + gap * np.sqrt(split))
+    s2 = np.sqrt(1.0 + gap * np.sqrt(1.0 - split))
+    return u @ np.diag([s1, s2])
+
+
+def oracle_factors(rng):
+    """Haar unitaries, factors 1e-10 (NORM_TOL) +- 0.1% from unitary, and
+    factors with NaN, inf and 1e308 entries."""
+    factors = [haar_unitary(2, rng) for _ in range(40)]
+    for _ in range(40):
+        u, split = haar_unitary(2, rng), rng.uniform()
+        factors += [at_gap(u, NORM_TOL * 0.999, split), at_gap(u, NORM_TOL * 1.001, split)]
+    for bad in (np.nan, np.inf, -np.inf, 1e308, -1e308, 1e308j, 1e200):
+        for entry in range(4):
+            f = haar_unitary(2, rng)
+            f.flat[entry] = bad
+            factors.append(f)
+        factors.append(np.full((2, 2), bad, dtype=complex))
+    factors += [[[1e308, 0.0], [1e308, 0.0]], 2 * I2, I2 * (1 + 1e-10), np.zeros((2, 2))]
+    return factors
+
+
 class TestApplyLocal:
     def test_ghz_maps_onto_phi(self):
         # (f (x) f (x) f)|ghz> lands exactly on +|phi>: a weight-k basis state
@@ -491,6 +571,45 @@ class TestApplyLocal:
         with pytest.raises(ValueError) as info:
             apply_local(named_state("ghz"), factors)
         assert str(info.value) == message
+        assert stacked_check(factors) == message
+
+    def test_the_scalar_gap_is_the_stacked_norm(self):
+        rng = np.random.default_rng(131)
+        factors = oracle_factors(rng)
+        factors += [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(200)]
+        for f in factors:
+            f = np.asarray(f, dtype=complex)
+            gap = states._unitary_gap(f)
+            with np.errstate(all="ignore"):
+                expected = float(np.linalg.norm(f @ f.conj().T - I2))
+            if np.isfinite(expected) and expected < 1e300:
+                assert gap == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            else:  # overflowed or NaN in the product: rejected on both sides
+                assert not gap <= NORM_TOL
+
+    def test_factors_at_the_tolerance_fall_on_the_side_they_lie(self):
+        rng = np.random.default_rng(137)
+        for _ in range(200):
+            u, split = haar_unitary(2, rng), rng.uniform()
+            below, above = at_gap(u, NORM_TOL * 0.999, split), at_gap(u, NORM_TOL * 1.001, split)
+            assert local_verdict([I2, below, I2]) is None
+            assert local_verdict([I2, I2, above]) == "factor 3 is not unitary within tolerance"
+
+    def test_verdicts_and_messages_match_the_stacked_check(self):
+        # every choice of three factors from a pool of good, nearly good,
+        # non-finite, overflowing and wrongly shaped ones, at every position
+        rng = np.random.default_rng(139)
+        pool = oracle_factors(rng)
+        shapes = [np.eye(3), np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2)), np.array(1.0)]
+        pool = [pool[i] for i in rng.choice(len(pool), 14, replace=False)] + shapes
+        kinds = set()
+        for factors in product(pool, repeat=3):
+            verdict = local_verdict(factors)
+            assert verdict == stacked_check(factors)
+            kinds.add("accepted" if verdict is None else "shape" if "shape" in verdict else "unitary")
+        assert kinds == {"accepted", "shape", "unitary"}
+        for f in oracle_factors(rng) + shapes:  # the whole pool in the middle
+            assert local_verdict([I2, f, I2]) == stacked_check([I2, f, I2])
 
 
 class TestJsonFormat:
